@@ -9,7 +9,8 @@ import (
 // TestFrameCodecAllocs pins the zero-allocation property of the wire
 // codec's recycled-buffer forms: encoding a batch or completions frame
 // into a reused scratch and decoding from a reused payload must not
-// allocate once the buffers have grown to their high-water mark.
+// allocate once the buffers have grown to their high-water mark. The
+// completions include a zero-flag read, which must be free both ways too.
 func TestFrameCodecAllocs(t *testing.T) {
 	const blockBytes = 512
 	data := make([]byte, blockBytes)
@@ -22,6 +23,7 @@ func TestFrameCodecAllocs(t *testing.T) {
 		{Tag: 1, Status: StatusOK, Mapped: true, Data: data},
 		{Tag: 2, Status: StatusOK},
 		{Tag: 3, Status: StatusOK},
+		{Tag: 4, Status: StatusOK, Zero: true},
 	}
 
 	t.Run("encode-batch", func(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
+	"os"
 	"time"
 
 	"ftlhammer/internal/ftl"
@@ -88,33 +88,15 @@ func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Client, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(deadline)
 	}
-	h := hello{
+	w, err := handshake(conn, hello{
 		Version: ProtocolVersion,
 		NSID:    uint16(cfg.NSID),
 		Path:    pathByte(cfg.Path),
 		Window:  uint16(cfg.Window),
-	}
-	if err := writeFrame(conn, frameHello, appendHello(nil, h)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
-	}
-	typ, payload, err := readFrame(conn, 64+maxMsgLen)
+	})
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
-	}
-	if typ != frameWelcome {
-		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: unexpected frame type %d", typ)
-	}
-	w, err := parseWelcome(payload)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: handshake: %w", err)
-	}
-	if w.Status != StatusOK {
-		conn.Close()
-		return nil, &RemoteError{Status: w.Status, Msg: w.Msg}
+		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
 	return &Client{
@@ -124,6 +106,29 @@ func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Client, error) {
 		numLBAs:    w.NumLBAs,
 		window:     int(w.Window),
 	}, nil
+}
+
+// handshake sends h and reads the welcome. A refusal surfaces as a
+// *RemoteError; anything else that goes wrong is a handshake error.
+func handshake(conn net.Conn, h hello) (welcome, error) {
+	if err := writeFrame(conn, frameHello, appendHello(nil, h)); err != nil {
+		return welcome{}, fmt.Errorf("transport: handshake: %w", err)
+	}
+	typ, payload, err := readFrame(conn, 64+maxMsgLen)
+	if err != nil {
+		return welcome{}, fmt.Errorf("transport: handshake: %w", err)
+	}
+	if typ != frameWelcome {
+		return welcome{}, fmt.Errorf("transport: handshake: unexpected frame type %d", typ)
+	}
+	w, err := parseWelcome(payload)
+	if err != nil {
+		return welcome{}, fmt.Errorf("transport: handshake: %w", err)
+	}
+	if w.Status != StatusOK {
+		return welcome{}, &RemoteError{Status: w.Status, Msg: w.Msg}
+	}
+	return w, nil
 }
 
 // SessionID returns the server-assigned session identifier.
@@ -224,14 +229,23 @@ func (c *Client) Ring(ctx context.Context) (int, error) {
 			c.conn.Close()
 			return 0, fmt.Errorf("transport: completion %d echoes tag %d, want %d", i, cp.Tag, cmd.Tag)
 		}
+		if cp.Zero && cmd.Op != nvme.OpRead {
+			c.broken = true
+			c.conn.Close()
+			return 0, fmt.Errorf("transport: zero flag on a %s completion", cmd.Op)
+		}
 		comp := nvme.Completion{Tag: cp.Tag, Mapped: cp.Mapped, Err: errorOf(cp.Status, cp.Msg)}
 		if cmd.Op == nvme.OpRead && cp.Status == StatusOK {
-			if len(cp.Data) != c.blockBytes {
+			switch {
+			case cp.Zero:
+				clear(cmd.Buf)
+			case len(cp.Data) != c.blockBytes:
 				c.broken = true
 				c.conn.Close()
 				return 0, fmt.Errorf("transport: read completion carries %d bytes, want %d", len(cp.Data), c.blockBytes)
+			default:
+				copy(cmd.Buf, cp.Data)
 			}
-			copy(cmd.Buf, cp.Data)
 		}
 		c.cq = append(c.cq, comp)
 	}
@@ -294,7 +308,9 @@ func (c *Client) roundTrip(ctx context.Context, cmd nvme.Command) (nvme.Completi
 
 // withCtx runs fn under ctx: a deadline maps onto the connection, and
 // cancellation interrupts blocked I/O by expiring it. After interruption
-// the ctx error wins over the (induced) I/O error.
+// the ctx error wins over the (induced) I/O error. The interrupt is a
+// context.AfterFunc registration, so a cancelable ctx costs no goroutine
+// per round trip.
 func (c *Client) withCtx(ctx context.Context, fn func() error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -302,29 +318,25 @@ func (c *Client) withCtx(ctx context.Context, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if deadline, ok := ctx.Deadline(); ok {
+	deadline, hasDeadline := ctx.Deadline()
+	if hasDeadline {
 		c.conn.SetDeadline(deadline)
 		defer c.conn.SetDeadline(time.Time{})
 	}
 	if ctx.Done() == nil {
 		return fn()
 	}
-	stop := make(chan struct{})
-	var interrupted atomic.Bool
-	go func() {
-		select {
-		case <-ctx.Done():
-			interrupted.Store(true)
-			c.conn.SetDeadline(time.Now())
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(time.Now()) })
 	err := fn()
-	close(stop)
-	if interrupted.Load() {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
+	if !stop() {
+		// ctx ended while fn ran, so the interrupt has fired (or is about
+		// to): the connection is expired and the round trip is ctx's.
+		return ctx.Err()
+	}
+	if hasDeadline && errors.Is(err, os.ErrDeadlineExceeded) {
+		// The connection deadline is ctx's own, and it can expire a hair
+		// before ctx's timer marks the ctx done.
+		return context.DeadlineExceeded
 	}
 	return err
 }

@@ -60,21 +60,12 @@ func (l *pipeListener) dial(t *testing.T) net.Conn {
 	return client
 }
 
-// handshake performs the hello/welcome exchange on a raw conn.
-func handshake(t *testing.T, conn net.Conn, nsid, window int) welcome {
+// mustHandshake performs the hello/welcome exchange on a raw conn.
+func mustHandshake(t *testing.T, conn net.Conn, nsid, window int) welcome {
 	t.Helper()
-	if err := writeFrame(conn, frameHello, appendHello(nil, hello{
-		Version: ProtocolVersion, NSID: uint16(nsid), Window: uint16(window),
-	})); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	typ, payload, err := readFrame(conn, 64+maxMsgLen)
-	if err != nil || typ != frameWelcome {
-		t.Fatalf("welcome: typ=%d err=%v", typ, err)
-	}
-	w, err := parseWelcome(payload)
-	if err != nil || w.Status != StatusOK {
-		t.Fatalf("welcome = %+v, %v", w, err)
+	w, err := handshake(conn, hello{Version: ProtocolVersion, NSID: uint16(nsid), Window: uint16(window)})
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
 	return w
 }
@@ -109,7 +100,7 @@ func TestDrainWithStalledSessionPerShard(t *testing.T) {
 	conns := make([]net.Conn, 0, shards)
 	for nsid := 1; nsid <= shards; nsid++ {
 		conn := ln.dial(t)
-		handshake(t, conn, nsid, window)
+		mustHandshake(t, conn, nsid, window)
 		for batch := 0; batch < 2; batch++ {
 			cmds := make([]wireCmd, window)
 			for i := range cmds {

@@ -71,7 +71,8 @@ func genWorkload(numLBAs uint64, n int) []step {
 // simulation: the same seed and command sequence, driven once through a
 // network session and once through a local queue pair, leave two devices
 // in byte-identical states — same per-namespace and FTL counters, same
-// virtual clock, same L2P table, same read payloads and completion errors.
+// virtual clock, same L2P table, same read payloads (into dirty buffers)
+// and completion errors.
 // It runs with both a single-shard and a multi-shard engine: one session's
 // commands always land on one shard in arrival order, so sharding must not
 // perturb the simulation at all.
@@ -100,14 +101,14 @@ func testRemoteInProcessEquivalence(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteReads, remoteErrs := runRemote(t, c, steps, blockBytes, batchSize)
+	remoteReads, remoteErrs, remoteUnmapped := runRemote(t, c, steps, blockBytes, batchSize)
 	c.Close()
 	stop()
 	remoteFP := fingerprint(remoteDev)
 
 	// In-process run on an identically configured device.
 	localDev, _ := newTestDevice(t, seed, tenants, faults.Plan{})
-	localReads, localErrs := runLocal(t, localDev, steps, blockBytes, batchSize)
+	localReads, localErrs, localUnmapped := runLocal(t, localDev, steps, blockBytes, batchSize)
 	localFP := fingerprint(localDev)
 
 	if len(remoteFP.ns) != len(localFP.ns) {
@@ -130,6 +131,11 @@ func testRemoteInProcessEquivalence(t *testing.T, shards int) {
 	if !bytes.Equal(remoteReads, localReads) {
 		t.Error("read payloads differ between remote and in-process runs")
 	}
+	// Reads start from dirty buffers, so equal payloads also prove the
+	// zero-flag completions cleared every unmapped read client-side.
+	if remoteUnmapped != localUnmapped || remoteUnmapped == 0 {
+		t.Errorf("unmapped OK reads: remote %d, local %d; want equal and non-zero", remoteUnmapped, localUnmapped)
+	}
 	if len(remoteErrs) != len(localErrs) {
 		t.Fatalf("completion error counts differ: %d vs %d", len(remoteErrs), len(localErrs))
 	}
@@ -140,9 +146,28 @@ func testRemoteInProcessEquivalence(t *testing.T, shards int) {
 	}
 }
 
+// filledBlock returns a step's buffer: a write's payload, or for a read a
+// dirty 0xA5 block that the completion must overwrite entirely (an
+// unmapped read must come back all zero, not keep the stale bytes).
+func filledBlock(blockBytes int, s step) []byte {
+	fill := byte(0xA5)
+	if s.op == nvme.OpWrite {
+		fill = s.fill
+	}
+	return bytes.Repeat([]byte{fill}, blockBytes)
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // runRemote drives the workload through a client session in window-sized
-// batches, returning concatenated read payloads and per-step error texts.
-func runRemote(t *testing.T, c *Client, steps []step, blockBytes, batchSize int) (reads []byte, errs []string) {
+// batches, returning concatenated read payloads, per-step error texts and
+// the number of OK reads that came back unmapped.
+func runRemote(t *testing.T, c *Client, steps []step, blockBytes, batchSize int) (reads []byte, errs []string, unmapped int) {
 	t.Helper()
 	for start := 0; start < len(steps); start += batchSize {
 		end := start + batchSize
@@ -154,12 +179,7 @@ func runRemote(t *testing.T, c *Client, steps []step, blockBytes, batchSize int)
 		for i, s := range chunk {
 			cmd := nvme.Command{Op: s.op, LBA: s.lba, Tag: uint64(start + i)}
 			if s.op != nvme.OpTrim {
-				bufs[i] = make([]byte, blockBytes)
-				if s.op == nvme.OpWrite {
-					for j := range bufs[i] {
-						bufs[i][j] = s.fill
-					}
-				}
+				bufs[i] = filledBlock(blockBytes, s)
 				cmd.Buf = bufs[i]
 			}
 			if err := c.Submit(cmd); err != nil {
@@ -170,22 +190,21 @@ func runRemote(t *testing.T, c *Client, steps []step, blockBytes, batchSize int)
 			t.Fatalf("ring at step %d: %v", start, err)
 		}
 		for i, comp := range c.Completions() {
-			if comp.Err != nil {
-				errs = append(errs, comp.Err.Error())
-			} else {
-				errs = append(errs, "")
-			}
+			errs = append(errs, errText(comp.Err))
 			if chunk[i].op == nvme.OpRead && comp.Err == nil {
 				reads = append(reads, bufs[i]...)
+				if !comp.Mapped {
+					unmapped++
+				}
 			}
 		}
 	}
-	return reads, errs
+	return reads, errs, unmapped
 }
 
 // runLocal drives the same workload through a local queue pair with the
 // same batch discipline.
-func runLocal(t *testing.T, dev *nvme.Device, steps []step, blockBytes, batchSize int) (reads []byte, errs []string) {
+func runLocal(t *testing.T, dev *nvme.Device, steps []step, blockBytes, batchSize int) (reads []byte, errs []string, unmapped int) {
 	t.Helper()
 	ns, ok := dev.NamespaceByID(1)
 	if !ok {
@@ -205,12 +224,7 @@ func runLocal(t *testing.T, dev *nvme.Device, steps []step, blockBytes, batchSiz
 		for i, s := range chunk {
 			cmd := nvme.Command{Op: s.op, LBA: s.lba, Tag: uint64(start + i)}
 			if s.op != nvme.OpTrim {
-				bufs[i] = make([]byte, blockBytes)
-				if s.op == nvme.OpWrite {
-					for j := range bufs[i] {
-						bufs[i][j] = s.fill
-					}
-				}
+				bufs[i] = filledBlock(blockBytes, s)
 				cmd.Buf = bufs[i]
 			}
 			if err := qp.Submit(cmd); err != nil {
@@ -219,15 +233,14 @@ func runLocal(t *testing.T, dev *nvme.Device, steps []step, blockBytes, batchSiz
 		}
 		qp.Ring()
 		for i, comp := range qp.Completions() {
-			if comp.Err != nil {
-				errs = append(errs, comp.Err.Error())
-			} else {
-				errs = append(errs, "")
-			}
+			errs = append(errs, errText(comp.Err))
 			if chunk[i].op == nvme.OpRead && comp.Err == nil {
 				reads = append(reads, bufs[i]...)
+				if !comp.Mapped {
+					unmapped++
+				}
 			}
 		}
 	}
-	return reads, errs
+	return reads, errs, unmapped
 }

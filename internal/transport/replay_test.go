@@ -87,7 +87,7 @@ func TestRecordedTransportSessionReplaysInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		steps := genWorkload(numLBAs, opsPerSes)
-		_, errs := runRemote(t, c, steps, blockBytes, batchSize)
+		_, errs, _ := runRemote(t, c, steps, blockBytes, batchSize)
 		remoteErrs = append(remoteErrs, errs...)
 		c.Close()
 	}

@@ -606,7 +606,13 @@ func (s *Server) engine(idx int) {
 				st, msg := statusOf(cp.Err)
 				wc := wireCompletion{Tag: cp.Tag, Status: st, Mapped: cp.Mapped, Msg: msg}
 				if st == StatusOK && bb.cmds[i].Op == nvme.OpRead {
-					wc.Data = bb.cmds[i].Buf
+					// An OK unmapped read is all zeros by device contract
+					// (ftl.ReadLBA); one flag bit says so instead of a block.
+					if cp.Mapped {
+						wc.Data = bb.cmds[i].Buf
+					} else {
+						wc.Zero = true
+					}
 				}
 				bb.wcs = append(bb.wcs, wc)
 			}

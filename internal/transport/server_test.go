@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,5 +350,270 @@ func TestMaxSessions(t *testing.T) {
 			t.Fatalf("slot never freed: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// startFakeServer runs a peer that completes the handshake (512-byte
+// blocks, window 4) and then answers every batch with reply's
+// completions; a nil reply swallows batches without answering — a server
+// stalled mid-Ring.
+func startFakeServer(t *testing.T, reply func([]wireCmd) []wireCompletion) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				if _, _, err := readFrame(conn, 64); err != nil {
+					return
+				}
+				w := welcome{Version: ProtocolVersion, Status: StatusOK, SessionID: 1, BlockBytes: 512, NumLBAs: 8, Window: 4}
+				if err := writeFrame(conn, frameWelcome, appendWelcome(nil, w)); err != nil {
+					return
+				}
+				if reply == nil {
+					io.Copy(io.Discard, conn)
+					return
+				}
+				for {
+					typ, payload, err := readFrame(conn, 1<<20)
+					if err != nil || typ != frameBatch {
+						return
+					}
+					cmds, err := parseBatch(payload, 512)
+					if err != nil {
+						return
+					}
+					if writeFrame(conn, frameCompletions, appendCompletions(nil, reply(cmds))) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientZeroFlag: a zero-flag read completion clears the caller's
+// buffer, and a zero flag on a write or trim completion is a protocol
+// violation that breaks the session.
+func TestClientZeroFlag(t *testing.T) {
+	addr := startFakeServer(t, func(cmds []wireCmd) []wireCompletion {
+		comps := make([]wireCompletion, len(cmds))
+		for i, cmd := range cmds {
+			comps[i] = wireCompletion{Tag: cmd.Tag, Status: StatusOK, Zero: true}
+		}
+		return comps
+	})
+	c, err := Dial(context.Background(), addr, ClientConfig{NSID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := bytes.Repeat([]byte{0xA5}, c.BlockBytes())
+	if mapped, err := c.Read(context.Background(), 1, buf); err != nil || mapped {
+		t.Fatalf("zero-flag read: mapped=%v err=%v", mapped, err)
+	}
+	if !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatal("zero-flag read left stale bytes in the buffer")
+	}
+	for _, op := range []nvme.Opcode{nvme.OpWrite, nvme.OpTrim} {
+		c, err := Dial(context.Background(), addr, ClientConfig{NSID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cmd := nvme.Command{Op: op, LBA: 2}
+		if op == nvme.OpWrite {
+			cmd.Buf = make([]byte, c.BlockBytes())
+		}
+		if err := c.Submit(cmd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Ring(context.Background()); err == nil {
+			t.Fatalf("%s completion with a zero flag accepted", op)
+		}
+		if err := c.Submit(nvme.Command{Op: nvme.OpTrim}); !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("Submit after a bad %s completion: err = %v, want ErrClientClosed", op, err)
+		}
+	}
+}
+
+// TestClientContextCancelMidRing: a ctx that ends while Ring is blocked
+// on a server that never answers interrupts the round trip with the ctx's
+// error and breaks the session, while a ctx that stays live across many
+// round trips leaves the session intact.
+func TestClientContextCancelMidRing(t *testing.T) {
+	silent := startFakeServer(t, nil)
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled},
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 50*time.Millisecond)
+		}, context.DeadlineExceeded},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Dial(context.Background(), silent, ClientConfig{NSID: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: 0}); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			start := time.Now()
+			if _, err := c.Ring(ctx); !errors.Is(err, tc.want) {
+				t.Fatalf("Ring on a stalled server: err = %v, want %v", err, tc.want)
+			}
+			if waited := time.Since(start); waited > 10*time.Second {
+				t.Fatalf("Ring took %v to notice the ctx", waited)
+			}
+			if err := c.Submit(nvme.Command{Op: nvme.OpTrim, LBA: 1}); !errors.Is(err, ErrClientClosed) {
+				t.Fatalf("Submit after interrupt: err = %v, want ErrClientClosed", err)
+			}
+		})
+	}
+	t.Run("live", func(t *testing.T) {
+		dev, _ := newTestDevice(t, 15, 1, faults.Plan{})
+		addr, _ := startServer(t, NewServer(dev, Config{Window: 4}))
+		c, err := Dial(context.Background(), addr, ClientConfig{NSID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < 100; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			err := c.Trim(ctx, ftl.LBA(i%8))
+			cancel()
+			if err != nil {
+				t.Fatalf("round trip %d under a live ctx: %v", i, err)
+			}
+		}
+	})
+}
+
+// TestProtocolVersionMismatch: a version-1 hello (the protocol before the
+// zero-filled completion flag) is refused by both handshake entry points
+// — a Server, and ReadHello as a routing frontend calls it — and the
+// client sees a refusal or a handshake error, never a hang.
+func TestProtocolVersionMismatch(t *testing.T) {
+	v1 := hello{Version: 1, NSID: 1, Window: 4}
+	t.Run("server", func(t *testing.T) {
+		dev, _ := newTestDevice(t, 14, 1, faults.Plan{})
+		srv := NewServer(dev, Config{Window: 4})
+		addr, _ := startServer(t, srv)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		var remote *RemoteError
+		if _, err := handshake(conn, v1); !errors.As(err, &remote) || remote.Status != StatusInvalid {
+			t.Fatalf("v1 hello to a server: err = %v, want RemoteError{StatusInvalid}", err)
+		}
+		if got := srv.rejected.Load(); got != 1 {
+			t.Errorf("rejected handshakes = %d, want 1", got)
+		}
+	})
+	t.Run("frontend", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		readErr := make(chan error, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				readErr <- err
+				return
+			}
+			// A routing frontend drops a connection whose hello it
+			// cannot accept.
+			defer conn.Close()
+			_, err = ReadHello(conn, 10*time.Second)
+			readErr <- err
+		}()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		_, err = handshake(conn, v1)
+		var ne net.Error
+		if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("v1 hello to a frontend: err = %v, want a handshake error", err)
+		}
+		if err := <-readErr; err == nil || !strings.Contains(err.Error(), "protocol version 1") {
+			t.Fatalf("ReadHello on a v1 hello: err = %v, want a version refusal", err)
+		}
+	})
+}
+
+// TestUnmappedReadCompletionCarriesNoData pins the elision on the wire:
+// an OK read of an unmapped LBA comes back as a bare zero-flag completion,
+// while a mapped read still carries its block.
+func TestUnmappedReadCompletionCarriesNoData(t *testing.T) {
+	dev, _ := newTestDevice(t, 16, 1, faults.Plan{})
+	addr, _ := startServer(t, NewServer(dev, Config{Window: 4}))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	w := mustHandshake(t, conn, 1, 4)
+	cmds := []wireCmd{
+		{Op: byte(nvme.OpWrite), Tag: 1, LBA: 2, Data: make([]byte, w.BlockBytes)},
+		{Op: byte(nvme.OpRead), Tag: 2, LBA: 2},
+		{Op: byte(nvme.OpRead), Tag: 3, LBA: 3},
+	}
+	if err := writeFrame(conn, frameBatch, appendBatch(nil, cmds)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(conn, 1<<20)
+	if err != nil || typ != frameCompletions {
+		t.Fatalf("completions: typ=%d err=%v", typ, err)
+	}
+	comps, err := parseCompletions(payload)
+	if err != nil || len(comps) != 3 {
+		t.Fatalf("parseCompletions: %d comps, %v", len(comps), err)
+	}
+	if c := comps[1]; !c.Mapped || c.Zero || len(c.Data) != int(w.BlockBytes) {
+		t.Errorf("mapped read: mapped=%v zero=%v %d data bytes, want a full block", c.Mapped, c.Zero, len(c.Data))
+	}
+	if c := comps[2]; c.Status != StatusOK || c.Mapped || !c.Zero || len(c.Data) != 0 {
+		t.Errorf("unmapped read: %+v, want an OK zero-flag completion without data", c)
+	}
+	if want := 2 + 3*compWireOverhead + int(w.BlockBytes); len(payload) != want {
+		t.Errorf("completions payload %d bytes, want %d (one block for the mapped read only)", len(payload), want)
 	}
 }

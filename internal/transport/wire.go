@@ -11,8 +11,10 @@ import (
 )
 
 // ProtocolVersion is negotiated in the hello/welcome handshake; a server
-// refuses clients speaking a different version.
-const ProtocolVersion = 1
+// refuses clients speaking a different version. Version 2 introduced the
+// zero-filled completion flag (flagZero): a version-1 peer would read a
+// data-less unmapped read as a short payload, so it is refused outright.
+const ProtocolVersion = 2
 
 // Frame types. Every frame on the wire is a 4-byte big-endian payload
 // length, a 1-byte type, then the payload.
@@ -22,6 +24,16 @@ const (
 	frameBatch       byte = 3 // client → server: command batch (the doorbell)
 	frameCompletions byte = 4 // server → client: completions for one batch
 	frameBye         byte = 5 // client → server: graceful session close
+)
+
+// Completion flag bits. Any other bit set is a malformed completion.
+const (
+	// flagMapped reports that a read touched flash.
+	flagMapped byte = 1 << 0
+	// flagZero marks an OK read of an unmapped block: the device
+	// zero-fills those (ftl.ReadLBA), so the completion omits the data
+	// and the client clears the caller's buffer instead.
+	flagZero byte = 1 << 1
 )
 
 // frameHeaderLen is the fixed prefix of every frame.
@@ -166,11 +178,13 @@ type wireCmd struct {
 }
 
 // wireCompletion is one completion on the wire. Data carries the read
-// payload when present.
+// payload when present; Zero stands in for an all-zero payload and
+// requires an OK status and empty Data.
 type wireCompletion struct {
 	Tag    uint64
 	Status Status
 	Mapped bool
+	Zero   bool
 	Msg    string
 	Data   []byte
 }
@@ -410,7 +424,10 @@ func appendCompletions(b []byte, comps []wireCompletion) []byte {
 		b = append(b, byte(cp.Status))
 		var flags byte
 		if cp.Mapped {
-			flags |= 1
+			flags |= flagMapped
+		}
+		if cp.Zero {
+			flags |= flagZero
 		}
 		b = append(b, flags)
 		b = appendU16(b, uint16(len(msg)))
@@ -430,17 +447,29 @@ func parseCompletions(p []byte) ([]wireCompletion, error) {
 }
 
 // parseCompletionsInto is parseCompletions appending into a recycled
-// slice (the client's Ring scratch). Decoded Data fields alias p.
+// slice (the client's Ring scratch). Decoded Data fields alias p. It
+// fails closed on flags it does not know and on a zero flag that carries
+// data or rides a failed completion.
 func parseCompletionsInto(comps []wireCompletion, p []byte) ([]wireCompletion, error) {
 	c := cursor{p: p}
 	n := int(c.u16())
 	for i := 0; i < n; i++ {
 		cp := wireCompletion{Tag: c.u64(), Status: Status(c.u8())}
-		cp.Mapped = c.u8()&1 != 0
+		flags := c.u8()
+		cp.Mapped = flags&flagMapped != 0
+		cp.Zero = flags&flagZero != 0
 		cp.Msg = string(c.take(int(c.u16())))
 		cp.Data = c.take(int(c.u32()))
 		if c.err != nil {
 			break
+		}
+		switch {
+		case flags&^(flagMapped|flagZero) != 0:
+			return comps, fmt.Errorf("%w: unknown completion flags %#x", errMalformed, flags)
+		case cp.Zero && cp.Status != StatusOK:
+			return comps, fmt.Errorf("%w: zero flag on a %s completion", errMalformed, cp.Status)
+		case cp.Zero && len(cp.Data) != 0:
+			return comps, fmt.Errorf("%w: zero flag with %d data bytes", errMalformed, len(cp.Data))
 		}
 		comps = append(comps, cp)
 	}

@@ -92,9 +92,12 @@ func TestCompletionsRoundTrip(t *testing.T) {
 				Status: Status(rng.Intn(int(StatusError) + 1)),
 				Mapped: rng.Intn(2) == 1,
 			}
-			if comps[i].Status != StatusOK {
+			switch {
+			case comps[i].Status != StatusOK:
 				comps[i].Msg = "some failure detail"
-			} else if rng.Intn(2) == 1 {
+			case rng.Intn(3) == 0:
+				comps[i].Zero = true
+			case rng.Intn(2) == 1:
 				comps[i].Data = make([]byte, 32)
 				rng.Read(comps[i].Data)
 			}
@@ -108,7 +111,7 @@ func TestCompletionsRoundTrip(t *testing.T) {
 		}
 		for i := range comps {
 			c, g := comps[i], got[i]
-			if g.Tag != c.Tag || g.Status != c.Status || g.Mapped != c.Mapped ||
+			if g.Tag != c.Tag || g.Status != c.Status || g.Mapped != c.Mapped || g.Zero != c.Zero ||
 				g.Msg != c.Msg || !bytes.Equal(g.Data, c.Data) {
 				t.Fatalf("comp %d: %+v -> %+v", i, c, g)
 			}
@@ -139,6 +142,39 @@ func TestParseBatchRejectsMalformedShapes(t *testing.T) {
 	good := appendBatch(nil, []wireCmd{{Op: byte(nvme.OpRead), Tag: 1, LBA: 2}})
 	if _, err := parseBatch(append(good, 0xFF), blockBytes); !errors.Is(err, errMalformed) {
 		t.Errorf("trailing bytes: err = %v, want errMalformed", err)
+	}
+}
+
+// TestParseCompletionsRejectsMalformedFlags: the completion decoder fails
+// closed on flag bits it does not know and on a zero flag that carries
+// data or rides a failed completion.
+func TestParseCompletionsRejectsMalformedFlags(t *testing.T) {
+	// The flags byte follows the count (2), tag (8) and status (1).
+	const flagsAt = 2 + 8 + 1
+	withFlags := func(flags byte) []byte {
+		p := appendCompletions(nil, []wireCompletion{{Tag: 1, Status: StatusOK}})
+		p[flagsAt] = flags
+		return p
+	}
+	cases := []struct {
+		name string
+		p    []byte
+	}{
+		{"flags 0xFE", withFlags(0xFE)},
+		{"flags bit 2", withFlags(1 << 2)},
+		{"flags bit 7 with mapped", withFlags(0x80 | flagMapped)},
+		{"zero flag with data", appendCompletions(nil, []wireCompletion{{Tag: 1, Status: StatusOK, Zero: true, Data: []byte{0}}})},
+		{"zero flag on failure", appendCompletions(nil, []wireCompletion{{Tag: 1, Status: StatusMediaFailure, Zero: true}})},
+	}
+	for _, tc := range cases {
+		if _, err := parseCompletions(tc.p); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: err = %v, want errMalformed", tc.name, err)
+		}
+	}
+	for _, flags := range []byte{0, flagMapped, flagZero} {
+		if _, err := parseCompletions(withFlags(flags)); err != nil {
+			t.Errorf("flags %#x: %v, want accepted", flags, err)
+		}
 	}
 }
 
@@ -194,6 +230,10 @@ func FuzzParseBatch(f *testing.F) {
 func FuzzParseCompletions(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendCompletions(nil, []wireCompletion{{Tag: 1, Status: StatusTimeout, Msg: "m"}}))
+	f.Add(appendCompletions(nil, []wireCompletion{{Tag: 2, Status: StatusOK, Zero: true}}))
+	badFlags := appendCompletions(nil, []wireCompletion{{Tag: 3, Status: StatusOK}})
+	badFlags[2+8+1] = 0xFE // the flags byte
+	f.Add(badFlags)
 	f.Add([]byte{0xFF, 0xFF, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		comps, err := parseCompletions(p)
