@@ -29,6 +29,11 @@ type weakCell struct {
 type rowState struct {
 	// epoch is the refresh epoch at which disturb was last reset.
 	epoch uint64
+	// epochFrom and epochTo bound the virtual-time span [from, to) over
+	// which the row stays in epoch, so ensureEpoch can skip recomputing
+	// it. Derived state: never snapshotted, and the zero span forces a
+	// recompute.
+	epochFrom, epochTo sim.Time
 	// disturb is the accumulated neighbour-activation pressure this
 	// epoch, scaled by disturbScale.
 	disturb uint64
@@ -44,26 +49,24 @@ type rowState struct {
 	sampled bool
 }
 
-// rowCacheEnt is one slot of the bank's direct-mapped row-state cache.
-type rowCacheEnt struct {
-	row int32
-	rs  *rowState
-}
+// rowChunkBits sizes the second level of the per-bank row table: one
+// chunk holds the state pointers of 1<<rowChunkBits consecutive rows.
+const (
+	rowChunkBits = 6
+	rowChunkMask = 1<<rowChunkBits - 1
+)
 
-// rowCacheSlots is the size of the per-bank row-state cache. A hammer
-// pattern disturbs a handful of consecutive rows around each aggressor, so
-// indexing by row&(slots-1) keeps all of them resident without collisions.
-const rowCacheSlots = 8
+// rowChunk is one second-level block of the row table.
+type rowChunk [rowChunkMask + 1]*rowState
 
 // bankState tracks one bank's row buffer and its mitigation state.
 type bankState struct {
 	// openRow is the row currently held in the row buffer, or -1.
 	openRow int
-	// rows holds lazily created per-row state.
-	rows map[int]*rowState
-	// rowCache short-circuits the rows map for recently disturbed rows
-	// (the hot hammering set).
-	rowCache [rowCacheSlots]rowCacheEnt
+	// chunks is the two-level row table: row r's state lives at
+	// chunks[r>>rowChunkBits][r&rowChunkMask]. Both levels are
+	// allocated on first use, so a bank nothing disturbs costs nothing.
+	chunks []*rowChunk
 	// trrSampler holds the rows sampled since the last refresh command,
 	// with activation counts (the in-DRAM TRR mitigation's view).
 	trrSampler map[int]uint64
@@ -72,30 +75,52 @@ type bankState struct {
 }
 
 func newBankState() *bankState {
-	return &bankState{openRow: -1, rows: make(map[int]*rowState)}
+	return &bankState{openRow: -1}
 }
 
-// row returns (creating if needed) the state for a physical row.
-func (b *bankState) row(r int) *rowState {
-	e := &b.rowCache[r&(rowCacheSlots-1)]
-	if e.rs != nil && int(e.row) == r {
-		return e.rs
+// row returns (creating if needed) the state for physical row r of a bank
+// with rowsPerBank rows.
+func (b *bankState) row(r, rowsPerBank int) *rowState {
+	if b.chunks == nil {
+		b.chunks = make([]*rowChunk, (rowsPerBank+rowChunkMask)>>rowChunkBits)
 	}
-	rs, ok := b.rows[r]
-	if !ok {
+	c := b.chunks[r>>rowChunkBits]
+	if c == nil {
+		c = new(rowChunk)
+		b.chunks[r>>rowChunkBits] = c
+	}
+	rs := c[r&rowChunkMask]
+	if rs == nil {
 		rs = &rowState{}
-		b.rows[r] = rs
+		c[r&rowChunkMask] = rs
 	}
-	e.row, e.rs = int32(r), rs
 	return rs
 }
 
-// refreshEpoch computes the refresh epoch of a row at time now. Rows are
-// refreshed in a staggered sweep: each row has a fixed phase within the
-// refresh window.
-func refreshEpoch(now sim.Time, window sim.Duration, row, rowsPerBank int) uint64 {
-	phase := uint64(window) * uint64(row) / uint64(rowsPerBank)
-	return (uint64(now) + phase) / uint64(window)
+// lookup returns row r's state, or nil if it was never materialized.
+func (b *bankState) lookup(r int) *rowState {
+	if r>>rowChunkBits >= len(b.chunks) {
+		return nil
+	}
+	if c := b.chunks[r>>rowChunkBits]; c != nil {
+		return c[r&rowChunkMask]
+	}
+	return nil
+}
+
+// refreshEpoch computes the refresh epoch of a row at time now, and the
+// span [from, to) of times that share it. Rows are refreshed in a
+// staggered sweep: each row has a fixed phase within the refresh window.
+func refreshEpoch(now sim.Time, window sim.Duration, row, rowsPerBank int) (ep uint64, from, to sim.Time) {
+	w := uint64(window)
+	phase := w * uint64(row) / uint64(rowsPerBank)
+	ep = (uint64(now) + phase) / w
+	// Epoch ep holds while now+phase is in [ep*w, (ep+1)*w); phase < w,
+	// so only epoch 0 starts before time zero.
+	if start := ep * w; start > phase {
+		from = sim.Time(start - phase)
+	}
+	return ep, from, sim.Time((ep+1)*w - phase)
 }
 
 // poisson draws a Poisson-distributed count with the given mean; the means

@@ -9,4 +9,5 @@ import (
 	"ftlhammer/internal/perf"
 )
 
-func BenchmarkDRAMBatch(b *testing.B) { perf.BenchDRAMBatch(b) }
+func BenchmarkDRAMBatch(b *testing.B)   { perf.BenchDRAMBatch(b) }
+func BenchmarkDRAMAmplify(b *testing.B) { perf.BenchDRAMAmplify(b) }

@@ -25,6 +25,10 @@
 // propagates to whatever the DRAM stores — in this repository, the FTL's
 // logical-to-physical table.
 //
+// Snapshots (Save, SaveTo) hold only mutable model state; derived per-row
+// state such as the cached refresh-epoch span is never snapshotted and is
+// recomputed on first use after a load.
+//
 // Three mitigation families are modeled, selectable per profile through
 // MitigationConfig (ParseMitigation accepts "trr[:n]", "para[:p]",
 // "refresh[:n]") or directly via the Config knobs:

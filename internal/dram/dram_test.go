@@ -377,6 +377,34 @@ func TestRefreshWindowReset(t *testing.T) {
 	}
 }
 
+// TestRefreshEpochSpan pins the span refreshEpoch reports: every time in
+// [from, to) shares the epoch, and the times just outside it do not.
+func TestRefreshEpochSpan(t *testing.T) {
+	const window = 64 * sim.Millisecond
+	rng := sim.NewRNG(7)
+	for i := 0; i < 2000; i++ {
+		row := int(rng.Uint64n(1 << 10))
+		now := sim.Time(rng.Uint64n(uint64(10 * window)))
+		ep, from, to := refreshEpoch(now, window, row, 1<<10)
+		if now < from || now >= to {
+			t.Fatalf("row %d at %d: span [%d,%d) misses now", row, now, from, to)
+		}
+		for _, tc := range []struct {
+			at   sim.Time
+			want uint64
+		}{{from, ep}, {to - 1, ep}, {to, ep + 1}} {
+			if got, _, _ := refreshEpoch(tc.at, window, row, 1<<10); got != tc.want {
+				t.Fatalf("row %d: epoch at %d = %d, want %d (span [%d,%d))", row, tc.at, got, tc.want, from, to)
+			}
+		}
+		if from > 0 {
+			if got, _, _ := refreshEpoch(from-1, window, row, 1<<10); got != ep-1 {
+				t.Fatalf("row %d: epoch just before span [%d,%d) = %d, want %d", row, from, to, got, ep-1)
+			}
+		}
+	}
+}
+
 func TestHalvedRefreshWindowNeedsDoubleRate(t *testing.T) {
 	// 16 ms windows: the budget that flips under 64 ms no longer fits.
 	m, clk := testModule(t, func(c *Config) { c.RefreshWindow = 16 * sim.Millisecond })

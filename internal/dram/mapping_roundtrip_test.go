@@ -56,8 +56,8 @@ func TestMapUnmapRoundtrip(t *testing.T) {
 	}
 }
 
-// TestMapLineMatchesMapper pins the module's memoized per-line mapping to
-// the mapper's pure function across a churn of addresses that exceeds the
+// TestMapLineMatchesMapper pins the module's memoized per-line mapping and
+// flat bank index to the mapper's pure function across a churn of addresses that exceeds the
 // cache size, so hits, misses and evictions are all exercised.
 func TestMapLineMatchesMapper(t *testing.T) {
 	world := sim.NewWorld(11)
@@ -72,13 +72,14 @@ func TestMapLineMatchesMapper(t *testing.T) {
 	for i := 0; i < 1<<14; i++ {
 		addr := rng.Uint64n(capacity)
 		want := m.Mapper().Map(addr &^ (lineBytes - 1))
-		if got := m.mapLine(addr); got != want {
-			t.Fatalf("mapLine(%#x) = %+v, want %+v", addr, got, want)
+		wantBank := m.cfg.Geometry.FlatBank(want)
+		if got := m.mapLine(addr); got.loc != want || got.bank != wantBank {
+			t.Fatalf("mapLine(%#x) = %+v bank %d, want %+v bank %d", addr, got.loc, got.bank, want, wantBank)
 		}
 		// Revisit recent addresses so cache hits are exercised too.
 		if i%3 == 0 {
-			if got := m.mapLine(addr); got != want {
-				t.Fatalf("cached mapLine(%#x) = %+v, want %+v", addr, got, want)
+			if got := m.mapLine(addr); got.loc != want || got.bank != wantBank {
+				t.Fatalf("cached mapLine(%#x) = %+v bank %d, want %+v bank %d", addr, got.loc, got.bank, want, wantBank)
 			}
 		}
 	}

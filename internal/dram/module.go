@@ -165,13 +165,15 @@ type frame struct {
 // mapCacheBits sizes the module's direct-mapped Map-result cache
 // (1<<mapCacheBits entries). The mapping is a pure function of the
 // address, so entries never need invalidation; hammering alternates over a
-// tiny address set, so a small cache captures nearly every lookup.
-const mapCacheBits = 4
+// small address set (entry, conflict and firmware lines), which 64 slots
+// hold without collisions.
+const mapCacheBits = 6
 
-// mapCacheEnt memoizes Map for one line-aligned address; line is stored
-// +1 so the zero value is never a hit.
+// mapCacheEnt memoizes Map and the flat bank index for one line-aligned
+// address; line is stored +1 so the zero value is never a hit.
 type mapCacheEnt struct {
 	line uint64
+	bank int
 	loc  Location
 }
 
@@ -227,6 +229,9 @@ type Module struct {
 	// rankActs holds the last four activation start times per rank
 	// (rolling, for tFAW).
 	rankActs [][4]sim.Time
+	// rankShift turns a flat bank index into its flat rank index (banks
+	// per rank is a power of two).
+	rankShift uint
 }
 
 // New builds a module inside the given world. It panics on invalid
@@ -268,6 +273,7 @@ func New(cfg Config, w *sim.World) *Module {
 	m.bankBusyUntil = make([]sim.Time, cfg.Geometry.TotalBanks())
 	m.bankActs = make([]uint64, cfg.Geometry.TotalBanks())
 	m.rankActs = make([][4]sim.Time, cfg.Geometry.Channels*cfg.Geometry.DIMMs*cfg.Geometry.Ranks)
+	m.rankShift = log2(cfg.Geometry.Banks)
 	m.obs = w.Obs
 	if m.obs != nil {
 		m.registerObs(m.obs)
@@ -296,7 +302,7 @@ func (m *Module) TakeStall() sim.Duration {
 // recordActivation applies tRC/tFAW accounting for an activation of the
 // flat bank at the current virtual time.
 func (m *Module) recordActivation(bankIdx int) {
-	t := m.cfg.Timing
+	t := &m.cfg.Timing
 	if t.TRC == 0 && t.TFAW == 0 {
 		return
 	}
@@ -305,18 +311,20 @@ func (m *Module) recordActivation(bankIdx int) {
 	if t.TRC > 0 && m.bankBusyUntil[bankIdx] > start {
 		start = m.bankBusyUntil[bankIdx]
 	}
-	rank := bankIdx / m.cfg.Geometry.Banks
+	// ra holds the rank's last four activation starts; ra[oi] is the
+	// oldest, which this activation replaces.
+	ra := &m.rankActs[bankIdx>>m.rankShift]
+	oi := 0
 	if t.TFAW > 0 {
+		for i := 1; i < len(ra); i++ {
+			if ra[i] < ra[oi] {
+				oi = i
+			}
+		}
 		// The oldest of the last four activations must be at least
 		// TFAW before this one starts. Zero entries mean "no prior
 		// activation recorded yet" and impose nothing.
-		oldest := m.rankActs[rank][0]
-		for _, v := range m.rankActs[rank][1:] {
-			if v < oldest {
-				oldest = v
-			}
-		}
-		if oldest > 0 {
+		if oldest := ra[oi]; oldest > 0 {
 			if earliest := oldest.Add(t.TFAW); earliest > start {
 				start = earliest
 			}
@@ -326,14 +334,6 @@ func (m *Module) recordActivation(bankIdx int) {
 		m.bankBusyUntil[bankIdx] = start.Add(t.TRC)
 	}
 	if t.TFAW > 0 {
-		// Replace the oldest entry.
-		ra := &m.rankActs[rank]
-		oi := 0
-		for i := 1; i < 4; i++ {
-			if ra[i] < ra[oi] {
-				oi = i
-			}
-		}
 		ra[oi] = start
 	}
 	if start > now {
@@ -351,6 +351,14 @@ func (m *Module) Config() Config { return m.cfg }
 // Stats returns a copy of the activity counters.
 func (m *Module) Stats() Stats { return m.stats }
 
+// Activations returns Stats().Activations without copying the counters.
+func (m *Module) Activations() uint64 { return m.stats.Activations }
+
+// Accesses returns the number of line accesses so far: every line touch,
+// data reads and writes included, is exactly one activation or one row
+// hit.
+func (m *Module) Accesses() uint64 { return m.stats.Activations + m.stats.RowHits }
+
 // ResetStats zeroes the counters and the flip log.
 func (m *Module) ResetStats() {
 	m.stats = Stats{}
@@ -362,6 +370,8 @@ func (m *Module) ResetStats() {
 func (m *Module) Flips() []FlipEvent { return m.flips }
 
 // OnFlip registers a callback invoked synchronously for every applied flip.
+// It runs inside the activation that caused the flip, so it must not call
+// back into the module.
 func (m *Module) OnFlip(fn func(FlipEvent)) { m.onFlip = fn }
 
 // frameFor returns the backing frame containing addr, materializing it.
@@ -463,19 +473,19 @@ func (m *Module) Activate(addr uint64) {
 	m.touchLine(addr)
 }
 
-// mapLine returns the location of the line containing addr, memoizing the
-// (pure) controller mapping in a small direct-mapped cache. The returned
-// location is line-aligned: Col holds only the column-high bits, which is
-// all the activation/disturbance bookkeeping needs.
-func (m *Module) mapLine(addr uint64) Location {
+// mapLine returns the cache entry for the line containing addr, memoizing
+// the (pure) controller mapping and flat bank index in a small
+// direct-mapped cache. The entry's location is line-aligned: Col holds
+// only the column-high bits, which is all the activation/disturbance
+// bookkeeping needs. The entry stays valid until the next mapLine call.
+func (m *Module) mapLine(addr uint64) *mapCacheEnt {
 	line := addr / lineBytes
 	e := &m.mapCache[(line*0x9e3779b97f4a7c15)>>(64-mapCacheBits)]
-	if e.line == line+1 {
-		return e.loc
+	if e.line != line+1 {
+		e.line, e.loc = line+1, m.mapper.Map(line*lineBytes)
+		e.bank = m.cfg.Geometry.FlatBank(e.loc)
 	}
-	loc := m.mapper.Map(line * lineBytes)
-	e.line, e.loc = line+1, loc
-	return loc
+	return e
 }
 
 // touchLine performs activation/disturbance bookkeeping for one line.
@@ -488,8 +498,8 @@ func (m *Module) touchLine(addr uint64) {
 		m.stats.RowHits++
 		return
 	}
-	loc := m.mapLine(addr)
-	bankIdx := m.cfg.Geometry.FlatBank(loc)
+	e := m.mapLine(addr)
+	loc, bankIdx := &e.loc, e.bank
 	bank := m.banks[bankIdx]
 	m.lastLine, m.lastBank, m.lastRow = line+1, bankIdx, loc.Row
 
@@ -528,7 +538,7 @@ func (m *Module) touchLine(addr uint64) {
 }
 
 // disturb applies pressure to one victim row and fires any flips.
-func (m *Module) disturb(bank *bankState, bankIdx int, aggLoc Location, victimRow int, weight uint64, now sim.Time) {
+func (m *Module) disturb(bank *bankState, bankIdx int, aggLoc *Location, victimRow int, weight uint64, now sim.Time) {
 	if m.neverFlips {
 		// No configuration of this profile can produce weak cells, so
 		// disturbance accounting is unobservable; skip it entirely.
@@ -537,7 +547,7 @@ func (m *Module) disturb(bank *bankState, bankIdx int, aggLoc Location, victimRo
 	if victimRow < 0 || victimRow >= m.cfg.Geometry.RowsPerBank {
 		return
 	}
-	rs := bank.row(victimRow)
+	rs := bank.row(victimRow, m.cfg.Geometry.RowsPerBank)
 	m.ensureEpoch(rs, victimRow, now)
 	rs.disturb += weight
 	if rs.disturb < m.thrFloor {
@@ -563,8 +573,15 @@ func (m *Module) disturb(bank *bankState, bankIdx int, aggLoc Location, victimRo
 }
 
 // ensureEpoch resets the row's disturbance if a refresh boundary passed.
+// While now stays inside the row's cached epoch span nothing can have
+// changed; both ends are checked because Clock.Reset and Clock.Restore
+// move time backwards.
 func (m *Module) ensureEpoch(rs *rowState, row int, now sim.Time) {
-	ep := refreshEpoch(now, m.cfg.RefreshWindow, row, m.cfg.Geometry.RowsPerBank)
+	if now >= rs.epochFrom && now < rs.epochTo {
+		return
+	}
+	ep, from, to := refreshEpoch(now, m.cfg.RefreshWindow, row, m.cfg.Geometry.RowsPerBank)
+	rs.epochFrom, rs.epochTo = from, to
 	if ep != rs.epoch {
 		rs.epoch = ep
 		rs.disturb = 0
@@ -616,8 +633,8 @@ func (m *Module) sampleWeakCells(rs *rowState, bankIdx, row int) {
 
 // applyFlip mutates the backing store if the cell's stored bit is in the
 // leak-prone state.
-func (m *Module) applyFlip(bankIdx int, aggLoc Location, victimRow int, wc *weakCell, now sim.Time) {
-	loc := aggLoc
+func (m *Module) applyFlip(bankIdx int, aggLoc *Location, victimRow int, wc *weakCell, now sim.Time) {
+	loc := *aggLoc
 	loc.Row = victimRow
 	loc.Col = int(wc.bit / 8)
 	addr := m.mapper.Unmap(loc)
@@ -655,7 +672,7 @@ func (m *Module) refreshNeighbors(bank *bankState, row int) {
 		if v < 0 || v >= m.cfg.Geometry.RowsPerBank {
 			continue
 		}
-		if rs, ok := bank.rows[v]; ok {
+		if rs := bank.lookup(v); rs != nil {
 			rs.disturb = 0
 			rs.gen++
 		}

@@ -107,34 +107,37 @@ func (m *Module) SaveTo(w *snapshot.Writer) {
 			trrRow = append(trrRow, uint64(r))
 			trrCnt = append(trrCnt, b.trrSampler[r])
 		}
-		rowsSorted := make([]int, 0, len(b.rows))
-		for r := range b.rows {
-			rowsSorted = append(rowsSorted, r)
-		}
-		sort.Ints(rowsSorted)
-		for _, r := range rowsSorted {
-			rst := b.rows[r]
-			rowBank = append(rowBank, uint64(bi))
-			rowIdx = append(rowIdx, uint64(r))
-			rowEpoch = append(rowEpoch, rst.epoch)
-			rowDisturb = append(rowDisturb, rst.disturb)
-			rowGen = append(rowGen, rst.gen)
-			rowMinThr = append(rowMinThr, rst.minThr)
-			rowWeakN = append(rowWeakN, uint64(len(rst.weak)))
-			sampled := byte(0)
-			if rst.sampled {
-				sampled = 1
+		// The row table iterates in ascending row order.
+		for ci, c := range b.chunks {
+			if c == nil {
+				continue
 			}
-			rowSampled = append(rowSampled, sampled)
-			for _, wc := range rst.weak {
-				weakBit = append(weakBit, wc.bit)
-				weakThr = append(weakThr, wc.threshold)
-				weakGen = append(weakGen, wc.attemptedGen)
-				leak := byte(0)
-				if wc.leaksToOne {
-					leak = 1
+			for j, rst := range c {
+				if rst == nil {
+					continue
 				}
-				weakLeak = append(weakLeak, leak)
+				rowBank = append(rowBank, uint64(bi))
+				rowIdx = append(rowIdx, uint64(ci<<rowChunkBits|j))
+				rowEpoch = append(rowEpoch, rst.epoch)
+				rowDisturb = append(rowDisturb, rst.disturb)
+				rowGen = append(rowGen, rst.gen)
+				rowMinThr = append(rowMinThr, rst.minThr)
+				rowWeakN = append(rowWeakN, uint64(len(rst.weak)))
+				sampled := byte(0)
+				if rst.sampled {
+					sampled = 1
+				}
+				rowSampled = append(rowSampled, sampled)
+				for _, wc := range rst.weak {
+					weakBit = append(weakBit, wc.bit)
+					weakThr = append(weakThr, wc.threshold)
+					weakGen = append(weakGen, wc.attemptedGen)
+					leak := byte(0)
+					if wc.leaksToOne {
+						leak = 1
+					}
+					weakLeak = append(weakLeak, leak)
+				}
 			}
 		}
 	}
@@ -341,8 +344,7 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 		m.frames[k] = f
 	}
 
-	// Rebuild every bank from scratch: this drops the rowCache (which
-	// would otherwise hold pointers into discarded rowState values).
+	// Rebuild every bank from scratch, row table included.
 	wi := 0
 	for bi := range m.banks {
 		b := newBankState()
@@ -358,7 +360,8 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 		b.trrSampler[int(trrRow[i])] = trrCnt[i]
 	}
 	for i := range rowBank {
-		rst := &rowState{
+		rst := m.banks[rowBank[i]].row(int(rowIdx[i]), m.cfg.Geometry.RowsPerBank)
+		*rst = rowState{
 			epoch:   rowEpoch[i],
 			disturb: rowDisturb[i],
 			gen:     rowGen[i],
@@ -375,7 +378,6 @@ func (m *Module) LoadFrom(snap *snapshot.Snapshot) error {
 			})
 			wi++
 		}
-		m.banks[rowBank[i]].rows[int(rowIdx[i])] = rst
 	}
 	// mapCache entries are pure functions of the address; they stay valid
 	// across a restore and need no invalidation.

@@ -197,14 +197,21 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		qp.Completions()
 		return nil
 	}
-	snapshot := func(plan core.HammerPlan) map[ftl.LBA]uint32 {
-		m := make(map[ftl.LBA]uint32)
+	// snapshot records the victim translations in plan order
+	// (VictimGlobalLBAs, then k ascending), so the first remapped LBA
+	// reported is the same on every run.
+	type mapping struct {
+		lba ftl.LBA
+		ppn uint32
+	}
+	snapshot := func(plan core.HammerPlan) []mapping {
+		var ms []mapping
 		for _, g := range plan.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
-				m[g+k] = uint32(dev.FTL().PPNOf(g + k))
+				ms = append(ms, mapping{g + k, uint32(dev.FTL().PPNOf(g + k))})
 			}
 		}
-		return m
+		return ms
 	}
 
 	budget := int(atk.RequiredRate()*0.064) * 2
@@ -232,11 +239,11 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		if err := atk.Hammer(fast, core.HammerOptions{Pairs: budget}); err != nil {
 			return err
 		}
-		for lba, old := range before {
-			now := uint32(dev.FTL().PPNOf(lba))
-			if now != old {
+		for _, old := range before {
+			now := uint32(dev.FTL().PPNOf(old.lba))
+			if now != old.ppn {
 				fmt.Fprintf(w, "  BLAST: co-located tenant %d hit — LBA %d remapped PBA %#x -> PBA %#x (plan %d, victim row %d)\n",
-					victim, lba, old, now, i, plan.Triple.VictimRow)
+					victim, old.lba, old.ppn, now, i, plan.Triple.VictimRow)
 				hit = true
 				break
 			}

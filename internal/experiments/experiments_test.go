@@ -176,6 +176,15 @@ func TestParallelOutputIdentical(t *testing.T) {
 	}
 }
 
+// TestBlastDeterministic pins blast's report across runs: the remapped LBA
+// it prints is the first in plan order, not whichever a map range yields.
+func TestBlastDeterministic(t *testing.T) {
+	first := runOutput(t, "blast", 1)
+	if second := runOutput(t, "blast", 1); first != second {
+		t.Fatalf("blast output differs between two runs:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+}
+
 // TestDefensesParallelIdentical pins the defenses sweep — whose rows mix
 // guard state, mitigation RNG draws and benign-tenant traffic — to the
 // same worker-count independence guarantee.

@@ -224,6 +224,9 @@ func (a *Array) Latency() Latency { return a.lat }
 // Stats returns a copy of the counters.
 func (a *Array) Stats() Stats { return a.stats }
 
+// BusyTime returns Stats().BusyTime without copying the counters.
+func (a *Array) BusyTime() sim.Duration { return a.stats.BusyTime }
+
 // IsBad reports whether a block has been retired.
 func (a *Array) IsBad(block int) bool { return a.badBlocks[block] }
 

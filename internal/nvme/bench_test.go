@@ -13,3 +13,4 @@ func BenchmarkDoContextRead(b *testing.B)  { perf.BenchDoContextRead(b) }
 func BenchmarkDoContextWrite(b *testing.B) { perf.BenchDoContextWrite(b) }
 func BenchmarkRobustRead(b *testing.B)     { perf.BenchRobustRead(b) }
 func BenchmarkDoBatch(b *testing.B)        { perf.BenchDoBatch(b) }
+func BenchmarkHammerRead(b *testing.B)     { perf.BenchHammerRead(b) }

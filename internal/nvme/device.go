@@ -272,7 +272,7 @@ func (d *Device) observeGuard(ns *Namespace, global ftl.LBA, acts uint64) {
 	var key uint64
 	if addr, err := d.ftl.EntryAddr(global); err == nil {
 		loc := d.mem.Mapper().Map(addr)
-		key = uint64(d.mem.Config().Geometry.FlatBank(loc))<<32 | uint64(loc.Row)
+		key = uint64(d.mem.Mapper().Geometry().FlatBank(loc))<<32 | uint64(loc.Row)
 	} else {
 		// Hashed layout: fall back to line granularity.
 		key = uint64(global) / 16
@@ -311,14 +311,10 @@ func (d *Device) admit(ns *Namespace, path Path) {
 }
 
 // chargeBackend advances the clock for firmware, DRAM and flash work done
-// since the snapshots were taken.
-func (d *Device) chargeBackend(dramBefore dram.Stats, flashBefore nand.Stats) {
+// since the DRAM access count and flash busy time were sampled.
+func (d *Device) chargeBackend(accessesBefore uint64, busyBefore sim.Duration) {
 	d.clk.Advance(d.costs.Firmware)
-	// Every DRAM line touch increments exactly one of Activations or
-	// RowHits (data reads/writes included), so their delta is the
-	// command's DRAM access count.
-	da := d.mem.Stats()
-	accesses := (da.Activations + da.RowHits) - (dramBefore.Activations + dramBefore.RowHits)
+	accesses := d.mem.Accesses() - accessesBefore
 	d.clk.Advance(d.costs.DRAMAccess * sim.Duration(accesses))
 	// DRAM command-rate back-pressure (tRC/tFAW): when the workload
 	// demands activations faster than the chips allow, the difference
@@ -326,17 +322,16 @@ func (d *Device) chargeBackend(dramBefore dram.Stats, flashBefore nand.Stats) {
 	if stall := d.mem.TakeStall(); stall > 0 {
 		d.clk.Advance(stall)
 	}
-	fa := d.flash.Stats()
-	busy := fa.BusyTime - flashBefore.BusyTime
+	busy := d.flash.BusyTime() - busyBefore
 	d.clk.Advance(busy / sim.Duration(d.pipelining))
 }
 
-// serveOnce runs one backend service attempt: snapshot, FTL op, backend
-// time charge, guard report. It is the unit the robustness layer
+// serveOnce runs one backend service attempt: counter samples, FTL op,
+// backend time charge, guard report. It is the unit the robustness layer
 // re-issues. Taking the opcode and buffer as plain parameters (rather
 // than an op closure) keeps the per-command fast path allocation-free.
 func (d *Device) serveOnce(ns *Namespace, g ftl.LBA, op Opcode, buf []byte) (mapped bool, err error) {
-	dramBefore, flashBefore := d.mem.Stats(), d.flash.Stats()
+	actsBefore, accessesBefore, busyBefore := d.mem.Activations(), d.mem.Accesses(), d.flash.BusyTime()
 	switch op {
 	case OpRead:
 		mapped, err = d.ftl.ReadLBA(g, buf)
@@ -345,8 +340,8 @@ func (d *Device) serveOnce(ns *Namespace, g ftl.LBA, op Opcode, buf []byte) (map
 	default:
 		err = d.ftl.Trim(g)
 	}
-	acts := d.mem.Stats().Activations - dramBefore.Activations
-	d.chargeBackend(dramBefore, flashBefore)
+	acts := d.mem.Activations() - actsBefore
+	d.chargeBackend(accessesBefore, busyBefore)
 	d.observeGuard(ns, g, acts)
 	return mapped, err
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ftlhammer/internal/dram"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
@@ -146,6 +147,79 @@ func BenchDRAMBatch(b *testing.B) {
 		if err := mem.Read(uint64(i%8)*span, buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// NewHammerDevice builds the hammer workload's device half: one tenant on
+// hammerd's weak DRAM profile at the paper's ×5 firmware amplification
+// (fleet's "weak" spec). It trims three aggressor LBAs, one in each third
+// of the namespace so their L2P entries sit in distinct DRAM rows, and
+// returns read commands for them. Reads of trimmed LBAs never reach
+// flash, so each one costs only its L2P activations.
+func NewHammerDevice(seed uint64) (*nvme.Device, [3]nvme.Command) {
+	bd, err := fleet.DeviceSpec{Profile: "weak", Tenants: 1, Amplify: 5}.Build(seed, nil)
+	if err != nil {
+		panic(fmt.Sprintf("perf: hammer device: %v", err))
+	}
+	dev := bd.Device
+	ns, ok := dev.NamespaceByID(1)
+	if !ok {
+		panic("perf: hammer device has no namespace 1")
+	}
+	buf := make([]byte, dev.BlockBytes())
+	var cmds [3]nvme.Command
+	third := ns.NumLBAs / uint64(len(cmds))
+	for k := range cmds {
+		lba := ftl.LBA(uint64(k)*third + third/2)
+		if c, err := dev.Do(nvme.Command{Op: nvme.OpTrim, NS: ns, LBA: lba}); err != nil || c.Err != nil {
+			panic(fmt.Sprintf("perf: trim %d: %v / %v", lba, err, c.Err))
+		}
+		cmds[k] = nvme.Command{Op: nvme.OpRead, NS: ns, LBA: lba, Buf: buf}
+	}
+	return dev, cmds
+}
+
+// BenchHammerRead measures one hammered read in process: a trimmed-LBA
+// read on the weak ×5 device, cycling over three aggressors as the
+// hammer workload does. Unlike the invulnerable-profile benchmarks it
+// reaches the DRAM disturbance model on every activation.
+func BenchHammerRead(b *testing.B) {
+	dev, cmds := NewHammerDevice(7)
+	for i := 0; i < 1024; i++ {
+		if _, err := dev.Do(cmds[i%len(cmds)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c, err := dev.Do(cmds[i%len(cmds)]); err != nil || c.Err != nil {
+			b.Fatalf("Do: %v / %v", err, c.Err)
+		}
+	}
+}
+
+// BenchDRAMAmplify measures one firmware amplification step of the hammer
+// device: the conflict-row activation followed by the L2P entry-row
+// activation (ftl's amplify loop), with command-rate back-pressure
+// charged to the clock as the device front end does.
+func BenchDRAMAmplify(b *testing.B) {
+	dev, cmds := NewHammerDevice(8)
+	mem, clk := dev.DRAM(), dev.Clock()
+	entry, err := dev.FTL().EntryAddr(cmds[0].NS.StartLBA + cmds[0].LBA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	loc := mem.Mapper().Map(entry)
+	loc.Row ^= 1 << 9 // ftl's conflict row: same bank, distant row
+	loc.Col = 0
+	conflict := mem.Mapper().Unmap(loc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mem.Activate(conflict)
+		mem.Activate(entry)
+		clk.Advance(mem.TakeStall())
 	}
 }
 
