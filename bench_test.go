@@ -109,22 +109,6 @@ func BenchmarkDesignAblations(b *testing.B) { runExperiment(b, "ablations") }
 func BenchmarkTrialEngineSerial(b *testing.B)   { runExperimentWorkers(b, "table1", 1) }
 func BenchmarkTrialEngineParallel(b *testing.B) { runExperimentWorkers(b, "table1", 0) }
 
-// TestAllExperimentsComplete runs every registered experiment end to end
-// (quick mode) — the repository's top-level integration test.
-func TestAllExperimentsComplete(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are long; skipped with -short")
-	}
-	for _, e := range experiments.All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if err := e.Run(io.Discard, experiments.Options{Quick: true}); err != nil {
-				t.Fatalf("%s (%s): %v", e.ID, e.Ref, err)
-			}
-		})
-	}
-}
-
 // Example of using the registry programmatically.
 func Example() {
 	e, err := experiments.ByID("prob")

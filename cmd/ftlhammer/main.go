@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ftlhammer/internal/attack"
@@ -31,29 +32,44 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, executes one campaign or victim run, and writes the
+// report to stdout. It returns the process exit code: 0 on success, 1 on
+// a configuration or run error (reported on stderr), 2 on a flag error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("ftlhammer", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		profile    = flag.String("profile", "weak", "DRAM profile: testbed | weak | invulnerable")
-		cycles     = flag.Int("cycles", 12, "maximum attack cycles")
-		sprayFiles = flag.Int("spray", 3072, "spray files per cycle")
-		targets    = flag.Int("targets", 64, "pointer targets per malicious block")
-		triples    = flag.Int("triples", 8, "triples hammered per cycle")
-		amplify    = flag.Int("amplify", 1, "firmware hammers per I/O (paper testbed: 5)")
-		mitigation = flag.String("mitigation", "none", "none | ecc | trr[:sampler] | para[:p] | refresh[:scale] | refresh2x | cache | ratelimit | hashed | extent-only | guard")
-		syncDecoys = flag.Bool("sync-decoys", false, "REF-synchronized decoy reads (TRR bypass)")
-		pattern    = flag.String("pattern", "", "hammer pattern: single | double | one-location | many:<n> | fuzzed:<seed> (empty: classic double-sided)")
-		victim     = flag.String("victim", "", "hammer a software victim instead of the leak campaign: fs | fs-hardened | kv | gc | gc-churn (docs/VICTIMS.md)")
-		iters      = flag.Int("iterations", 24000, "pattern iterations for -victim runs")
-		hunt       = flag.String("hunt", "victim-data-block-", "content marker to hunt for")
-		seed       = flag.Uint64("seed", 0xBEEF, "simulation seed")
-		verbose    = flag.Bool("v", false, "print device statistics")
-		metrics    = flag.String("metrics", "", "end-of-run metric dump: 'table' or 'json'")
-		trace      = flag.String("trace", "", "write the event trace to this JSONL file")
-		faultRate  = flag.Float64("fault-rate", 0, "inject device faults at this per-op probability (standard mix, see docs/FAULTS.md)")
-		robust     = flag.Bool("robust", false, "enable the NVMe retry/timeout/degradation policy (implied by -fault-rate)")
+		profile    = flags.String("profile", "weak", "DRAM profile: testbed | weak | invulnerable")
+		cycles     = flags.Int("cycles", 12, "maximum attack cycles")
+		sprayFiles = flags.Int("spray", 3072, "spray files per cycle")
+		targets    = flags.Int("targets", 64, "pointer targets per malicious block")
+		triples    = flags.Int("triples", 8, "triples hammered per cycle")
+		amplify    = flags.Int("amplify", 1, "firmware hammers per I/O (paper testbed: 5)")
+		mitigation = flags.String("mitigation", "none", "none | ecc | trr[:sampler] | para[:p] | refresh[:scale] | refresh2x | cache | ratelimit | hashed | extent-only | guard")
+		syncDecoys = flags.Bool("sync-decoys", false, "REF-synchronized decoy reads (TRR bypass)")
+		pattern    = flags.String("pattern", "", "hammer pattern: single | double | one-location | many:<n> | fuzzed:<seed> (empty: classic double-sided)")
+		victim     = flags.String("victim", "", "hammer a software victim instead of the leak campaign: fs | fs-hardened | kv | gc | gc-churn (docs/VICTIMS.md)")
+		iters      = flags.Int("iterations", 24000, "pattern iterations for -victim runs")
+		hunt       = flags.String("hunt", "victim-data-block-", "content marker to hunt for")
+		seed       = flags.Uint64("seed", 0xBEEF, "simulation seed")
+		verbose    = flags.Bool("v", false, "print device statistics")
+		metrics    = flags.String("metrics", "", "end-of-run metric dump: 'table' or 'json'")
+		trace      = flags.String("trace", "", "write the event trace to this JSONL file")
+		faultRate  = flags.Float64("fault-rate", 0, "inject device faults at this per-op probability (standard mix, see docs/FAULTS.md)")
+		robust     = flags.Bool("robust", false, "enable the NVMe retry/timeout/degradation policy (implied by -fault-rate)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ftlhammer:", err)
+		return 1
+	}
 	if *metrics != "" && *metrics != "table" && *metrics != "json" {
-		fatal(fmt.Errorf("-metrics must be 'table' or 'json', got %q", *metrics))
+		return fail(fmt.Errorf("-metrics must be 'table' or 'json', got %q", *metrics))
 	}
 	var reg *obs.Registry
 	if *metrics != "" || *trace != "" {
@@ -100,7 +116,7 @@ func main() {
 	case "invulnerable":
 		cfg.DRAM.Profile = dram.InvulnerableProfile()
 	default:
-		fatal(fmt.Errorf("unknown profile %q", *profile))
+		return fail(fmt.Errorf("unknown profile %q", *profile))
 	}
 	cfg.FTL.HammersPerIO = *amplify
 
@@ -133,13 +149,13 @@ func main() {
 		// refresh:<scale> (docs/DEFENSES.md).
 		mc, err := dram.ParseMitigation(*mitigation)
 		if err != nil || mc.Mode == dram.MitNone {
-			fatal(fmt.Errorf("unknown mitigation %q", *mitigation))
+			return fail(fmt.Errorf("unknown mitigation %q", *mitigation))
 		}
 		cfg.DRAM.Profile = cfg.DRAM.Profile.WithMitigation(mc)
 	}
 
 	if *faultRate < 0 || *faultRate > 1 {
-		fatal(fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate))
+		return fail(fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate))
 	}
 	if *faultRate > 0 {
 		p := faults.RatePlan(*faultRate)
@@ -150,21 +166,21 @@ func main() {
 		cfg.Robust = nvme.DefaultRobust()
 	}
 
-	fmt.Printf("building testbed: %s, amplification x%d, mitigation %s\n",
+	fmt.Fprintf(stdout, "building testbed: %s, amplification x%d, mitigation %s\n",
 		cfg.DRAM.Profile.Name, *amplify, *mitigation)
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	id := tb.Device.Identify()
-	fmt.Printf("device: %s — %.1f GiB, %d namespaces, %s L2P\n",
+	fmt.Fprintf(stdout, "device: %s — %.1f GiB, %d namespaces, %s L2P\n",
 		id.Model, float64(id.Capacity)/(1<<30), id.Namespaces, id.L2PKind)
 
 	hopts := core.HammerOptions{SyncDecoy: *syncDecoys}
 	if *pattern != "" {
 		pat, err := attack.ParsePattern(*pattern)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		// -sync-decoys composes: it adds REF synchronization to whatever
 		// shape -pattern selected.
@@ -172,7 +188,7 @@ func main() {
 			pat.SyncDecoy = true
 		}
 		hopts.Pattern = &pat
-		fmt.Printf("hammer pattern: %s\n", pat)
+		fmt.Fprintf(stdout, "hammer pattern: %s\n", pat)
 	}
 	if *victim != "" {
 		pat := attack.DoublePattern()
@@ -180,27 +196,30 @@ func main() {
 			pat = *hopts.Pattern
 		}
 		pat.Iterations = *iters
-		if err := runVictim(tb, *victim, pat, reg); err != nil {
-			fatal(err)
+		if err := runVictim(stdout, tb, *victim, pat, reg); err != nil {
+			return fail(err)
 		}
 	} else {
-		runCampaign(tb, hopts, core.CampaignConfig{
+		err := runCampaign(stdout, tb, hopts, core.CampaignConfig{
 			SprayFiles:      *sprayFiles,
 			TargetsPerFile:  *targets,
 			MaxCycles:       *cycles,
 			TriplesPerCycle: *triples,
 			Hunt:            *hunt,
 		})
+		if err != nil {
+			return fail(err)
+		}
 	}
 	if robustOn {
 		rs := tb.Device.RobustStats()
-		fmt.Printf("robustness: retries=%d timeouts=%d dropped=%d mediaErrs=%d failedCmds=%d readonly(now=%v entries=%d rejects=%d)\n",
+		fmt.Fprintf(stdout, "robustness: retries=%d timeouts=%d dropped=%d mediaErrs=%d failedCmds=%d readonly(now=%v entries=%d rejects=%d)\n",
 			rs.Retries, rs.Timeouts, rs.DroppedCompletions, rs.MediaErrors,
 			rs.TimedOutCmds+rs.AbortedCmds+rs.MediaFailedCmds,
 			tb.Device.ReadOnly(), rs.ReadOnlyEntries, rs.ReadOnlyRejects)
 	}
 	if g := tb.Device.Guard(); g != nil {
-		fmt.Printf("guard: attacker-ns violations=%d, victim-ns violations=%d\n",
+		fmt.Fprintf(stdout, "guard: attacker-ns violations=%d, victim-ns violations=%d\n",
 			g.Violations(tb.AttackerNS.ID), g.Violations(tb.VictimNS.ID))
 	}
 	if *verbose && len(tb.DRAM.Flips()) > 1 {
@@ -209,18 +228,18 @@ func main() {
 		for i := 1; i < len(evs); i++ {
 			gaps.Add(evs[i].Time.Sub(evs[i-1].Time).Seconds())
 		}
-		fmt.Printf("inter-flip interval: median %.3fs p90 %.3fs max %.3fs (virtual)\n",
+		fmt.Fprintf(stdout, "inter-flip interval: median %.3fs p90 %.3fs max %.3fs (virtual)\n",
 			gaps.Median(), gaps.Percentile(90), gaps.Max())
 	}
 	if *verbose {
 		ds := tb.DRAM.Stats()
-		fmt.Printf("\nDRAM: activations=%d rowHits=%d flips=%d TRR=%d PARA=%d eccCorrected=%d eccFatal=%d\n",
+		fmt.Fprintf(stdout, "\nDRAM: activations=%d rowHits=%d flips=%d TRR=%d PARA=%d eccCorrected=%d eccFatal=%d\n",
 			ds.Activations, ds.RowHits, ds.Flips, ds.TRRRefreshes, ds.PARARefreshes, ds.ECCCorrected, ds.ECCUncorrected)
 		fs := tb.FTL.Stats()
-		fmt.Printf("FTL: hostReads=%d hostWrites=%d trims=%d gcRuns=%d moved=%d corruptReads=%d WA=%.2f\n",
+		fmt.Fprintf(stdout, "FTL: hostReads=%d hostWrites=%d trims=%d gcRuns=%d moved=%d corruptReads=%d WA=%.2f\n",
 			fs.HostReads, fs.HostWrites, fs.Trims, fs.GCRuns, fs.GCPagesMoved, fs.CorruptReads, tb.FTL.WriteAmplification())
 		ns := tb.Flash.Stats()
-		fmt.Printf("NAND: reads=%d programs=%d erases=%d wearMax=%d\n",
+		fmt.Fprintf(stdout, "NAND: reads=%d programs=%d erases=%d wearMax=%d\n",
 			ns.Reads, ns.Programs, ns.Erases, ns.WearMax)
 	}
 	if reg != nil {
@@ -228,64 +247,66 @@ func main() {
 		snap := reg.Snapshot(true)
 		switch *metrics {
 		case "table":
-			fmt.Println()
-			if err := snap.WriteTable(os.Stdout); err != nil {
-				fatal(err)
+			fmt.Fprintln(stdout)
+			if err := snap.WriteTable(stdout); err != nil {
+				return fail(err)
 			}
 		case "json":
-			if err := snap.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
+			if err := snap.WriteJSON(stdout); err != nil {
+				return fail(err)
 			}
 		}
 		if *trace != "" {
 			f, err := os.Create(*trace)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := obs.WriteTraceHeader(f); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := obs.WriteEventsJSONL(f, reg.Events()); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			total, dropped := reg.TraceTotals()
-			fmt.Printf("trace: %d events written to %s (%d dropped from ring)\n",
+			fmt.Fprintf(stdout, "trace: %d events written to %s (%d dropped from ring)\n",
 				total-dropped, *trace, dropped)
 		}
 	}
+	return 0
 }
 
 // runCampaign executes the classic §3/§4 leak campaign and prints its
 // report.
-func runCampaign(tb *cloud.Testbed, hopts core.HammerOptions, ccfg core.CampaignConfig) {
+func runCampaign(stdout io.Writer, tb *cloud.Testbed, hopts core.HammerOptions, ccfg core.CampaignConfig) error {
 	ccfg.Hammer = hopts
 	camp, err := core.NewCampaign(tb, ccfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep, err := camp.Run()
 	if err != nil {
-		fmt.Printf("campaign stopped: %v\n", err)
+		fmt.Fprintf(stdout, "campaign stopped: %v\n", err)
 	}
-	fmt.Printf("\ncycles:          %d\n", rep.Cycles)
-	fmt.Printf("spray files:     %d\n", rep.SpraysCreated)
-	fmt.Printf("hammer reads:    %d\n", rep.HammerReads)
-	fmt.Printf("bitflips:        %d\n", rep.FlipsInduced)
-	fmt.Printf("leaks detected:  %d\n", rep.LeaksDetected)
-	fmt.Printf("blocks dumped:   %d\n", rep.BlocksDumped)
-	fmt.Printf("virtual elapsed: %v\n", rep.Elapsed)
+	fmt.Fprintf(stdout, "\ncycles:          %d\n", rep.Cycles)
+	fmt.Fprintf(stdout, "spray files:     %d\n", rep.SpraysCreated)
+	fmt.Fprintf(stdout, "hammer reads:    %d\n", rep.HammerReads)
+	fmt.Fprintf(stdout, "bitflips:        %d\n", rep.FlipsInduced)
+	fmt.Fprintf(stdout, "leaks detected:  %d\n", rep.LeaksDetected)
+	fmt.Fprintf(stdout, "blocks dumped:   %d\n", rep.BlocksDumped)
+	fmt.Fprintf(stdout, "virtual elapsed: %v\n", rep.Elapsed)
 	if rep.SecretFound {
 		excerpt := rep.SecretContent
 		if len(excerpt) > 40 {
 			excerpt = excerpt[:40]
 		}
-		fmt.Printf("RESULT: victim data LEAKED: %q...\n", excerpt)
+		fmt.Fprintf(stdout, "RESULT: victim data LEAKED: %q...\n", excerpt)
 	} else {
-		fmt.Println("RESULT: no leak (attack unsuccessful under this configuration)")
+		fmt.Fprintln(stdout, "RESULT: no leak (attack unsuccessful under this configuration)")
 	}
+	return nil
 }
 
 // crossAllocator finds cross-partition bindings (attacker rows flanking
@@ -325,7 +346,7 @@ func (a crossAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, path nvme
 // stack in the victim tenant, hammer the pattern over cross-partition
 // bindings, and report what the software above the device observed
 // (docs/VICTIMS.md).
-func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Registry) error {
+func runVictim(stdout io.Writer, tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Registry) error {
 	dev := tb.Device
 	pipe := &attack.Pipeline{
 		Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect,
@@ -364,26 +385,21 @@ func runVictim(tb *cloud.Testbed, kind string, pat attack.Pattern, reg *obs.Regi
 	default:
 		return fmt.Errorf("unknown victim %q (want fs | fs-hardened | kv | gc | gc-churn)", kind)
 	}
-	fmt.Printf("victim scenario: %s, pattern %s x%d\n", kind, pat, pat.Iterations)
+	fmt.Fprintf(stdout, "victim scenario: %s, pattern %s x%d\n", kind, pat, pat.Iterations)
 	res, err := pipe.Run(pat)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nbindings:   %d hammered of %d\n", res.Hammered, res.Bindings)
-	fmt.Printf("bitflips:   %d (mitigation refreshes %d, guard blacklists %d)\n",
+	fmt.Fprintf(stdout, "\nbindings:   %d hammered of %d\n", res.Hammered, res.Bindings)
+	fmt.Fprintf(stdout, "bitflips:   %d (mitigation refreshes %d, guard blacklists %d)\n",
 		res.Flips, res.MitRefreshes, res.Blacklists)
-	fmt.Printf("victim:     checked=%d corrupted=%d remapped=%d\n",
+	fmt.Fprintf(stdout, "victim:     checked=%d corrupted=%d remapped=%d\n",
 		res.Victim.Checked, res.Victim.Corrupted, res.Victim.Remapped)
-	fmt.Printf("detail:     %s\n", detail())
+	fmt.Fprintf(stdout, "detail:     %s\n", detail())
 	if res.Victim.Corrupted > 0 {
-		fmt.Println("RESULT: victim observed CORRUPTION")
+		fmt.Fprintln(stdout, "RESULT: victim observed CORRUPTION")
 	} else {
-		fmt.Println("RESULT: victim intact under this configuration")
+		fmt.Fprintln(stdout, "RESULT: victim intact under this configuration")
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ftlhammer:", err)
-	os.Exit(1)
 }

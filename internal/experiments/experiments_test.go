@@ -189,6 +189,7 @@ func TestBlastDeterministic(t *testing.T) {
 // guard state, mitigation RNG draws and benign-tenant traffic — to the
 // same worker-count independence guarantee.
 func TestDefensesParallelIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("defenses determinism is long; skipped with -short")
 	}
@@ -274,6 +275,7 @@ func TestParallelMetricsIdentical(t *testing.T) {
 // streams and backoff jitter from a dedicated device stream, so sharding
 // trials across workers must not move a single event.
 func TestFaultsParallelObservedIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("faults sweep is long; CI covers -race via the cmd/repro smoke step")
 	}
