@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"os"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
@@ -55,8 +55,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	dev, ns := tb.Device, tb.AttackerNS
+	plans, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{})
 	if err != nil {
 		fatal(err)
 	}
@@ -64,16 +64,18 @@ func main() {
 		plans = plans[:*limit]
 	}
 	fmt.Printf("device seed %d: probing %d candidate triples (threshold %d, required rate %.2f M/s)\n",
-		*seed, len(plans), *hcfirst, atk.RequiredRate()/1e6)
+		*seed, len(plans), *hcfirst, attack.RequiredRate(dev)/1e6)
 
-	results, err := atk.Template(plans, core.TemplateOptions{Pairs: *budget})
+	pat := attack.DoublePattern()
+	pat.Iterations = *budget
+	results, err := attack.Template(dev, ns, nvme.PathDirect, plans, pat)
 	if err != nil {
 		fatal(err)
 	}
 	vulnerable := 0
 	fmt.Printf("%-6s %-6s %-10s %-12s %s\n", "ch/bk", "victim", "aggressors", "vulnerable", "observation")
 	for _, r := range results {
-		tr := r.Plan.Triple
+		tr := r.Binding.Triple
 		mark := ""
 		if r.Vulnerable {
 			vulnerable++

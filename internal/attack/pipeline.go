@@ -25,8 +25,8 @@ func init() {
 
 // Pipeline wires one Allocator, one Hammerer, and one Victim into the
 // paper's end-to-end flow: place attacker state, arm the victim, drive
-// the pattern over every binding, and measure what broke. It replaces
-// the monolithic core attack path with swappable stages.
+// the pattern over every binding, and measure what broke, with every
+// stage swappable.
 type Pipeline struct {
 	Dev  *nvme.Device
 	NS   *nvme.Namespace
@@ -76,7 +76,7 @@ func (p *Pipeline) emit(kind string, a, b, c int64) {
 
 // Run executes the full allocate → arm → hammer → check flow for one
 // pattern. Patterns that need a decoy are downgraded per binding when
-// the binding has none (mirroring the legacy campaign behaviour).
+// the binding has none (as the Campaign does).
 func (p *Pipeline) Run(pat Pattern) (Result, error) {
 	if p.Alloc == nil || p.Hammerer == nil || p.Victim == nil {
 		return Result{}, errors.New("attack: pipeline needs an allocator, a hammerer, and a victim")

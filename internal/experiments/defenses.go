@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ftlhammer/internal/core"
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
@@ -192,8 +192,7 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 		return nil
 	}
 
-	atk := core.NewAttacker(dev, aggNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	plans, err := attack.Analyze(dev, aggNS, attack.AnalyzeOptions{})
 	if err != nil {
 		return defenseResult{}, err
 	}
@@ -204,7 +203,9 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 	if len(plans) > maxPlans {
 		plans = plans[:maxPlans]
 	}
-	budget := int(atk.RequiredRate()*dev.DRAM().Config().RefreshWindow.Seconds()) * 2
+	budget := attack.WindowBudget(dev, 2)
+	h := &attack.DeviceHammerer{Dev: dev, NS: aggNS, Path: nvme.PathDirect}
+	pat := attack.DoublePattern()
 
 	// Chunked hammering: 64 aggressor pairs, then one benign read per
 	// bystander tenant, repeated — the attack and the background load
@@ -221,7 +222,7 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 				if uint64(rel) >= aggNS.NumLBAs {
 					continue
 				}
-				if err := atk.PrepareRange(rel, 1); err != nil {
+				if err := attack.PrepareRange(dev, aggNS, nvme.PathDirect, rel, 1); err != nil {
 					return defenseResult{}, err
 				}
 			}
@@ -232,20 +233,12 @@ func probeDefense(spec defenseSpec, quick bool, reg *obs.Registry) (defenseResul
 				before[g+k] = uint32(dev.FTL().PPNOf(g + k))
 			}
 		}
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
-			return defenseResult{}, err
-		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
+		if err := attack.PinAndTrim(dev, aggNS, nvme.PathDirect, &plan); err != nil {
 			return defenseResult{}, err
 		}
 		for done := 0; done < budget; done += chunk {
-			n := chunk
-			if left := budget - done; left < n {
-				n = left
-			}
-			if err := atk.Hammer(fast, core.HammerOptions{Pairs: n}); err != nil {
+			pat.Iterations = min(chunk, budget-done)
+			if err := h.Hammer(plan, pat); err != nil {
 				return defenseResult{}, err
 			}
 			if err := benignTick(); err != nil {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/faults"
 	"ftlhammer/internal/ftl"
@@ -171,8 +171,8 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 // stopping the attack (read-only mode, exhausted retries) is a result,
 // not an error: it reports blocked=true.
 func faultAttackProbe(tb *cloud.Testbed, quick bool) (observed, blocked bool, err error) {
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	dev, ns := tb.Device, tb.AttackerNS
+	plans, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{})
 	if err != nil {
 		if isDegradation(err) {
 			return false, true, nil
@@ -186,8 +186,9 @@ func faultAttackProbe(tb *cloud.Testbed, quick bool) (observed, blocked bool, er
 	if len(plans) > nPlans {
 		plans = plans[:nPlans]
 	}
-	budget := int(atk.RequiredRate()*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
-	results, err := atk.Template(plans, core.TemplateOptions{Pairs: budget})
+	pat := attack.DoublePattern()
+	pat.Iterations = attack.WindowBudget(dev, 2)
+	results, err := attack.Template(dev, ns, nvme.PathDirect, plans, pat)
 	if err != nil {
 		if isDegradation(err) {
 			return false, true, nil

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
@@ -31,9 +31,8 @@ func Figure1(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-
-	plans, err := atk.AnalyzeOwnPartition()
+	dev, ns := tb.Device, tb.AttackerNS
+	plans, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{})
 	if err != nil {
 		return err
 	}
@@ -50,10 +49,10 @@ func Figure1(w io.Writer, opt Options) error {
 		for _, g := range plan.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
 				lba := g + k
-				if lba < atk.NS.StartLBA || uint64(lba-atk.NS.StartLBA) >= atk.NS.NumLBAs {
+				if lba < ns.StartLBA || uint64(lba-ns.StartLBA) >= ns.NumLBAs {
 					continue
 				}
-				if err := atk.PrepareRange(lba-atk.NS.StartLBA, 1); err != nil {
+				if err := attack.PrepareRange(dev, ns, nvme.PathDirect, lba-ns.StartLBA, 1); err != nil {
 					return err
 				}
 				prepared++
@@ -62,8 +61,10 @@ func Figure1(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintf(w, "setup: sequential writes populated %d L2P entries\n", prepared)
 
-	budget := int(atk.RequiredRate()*0.064) * 2
-	snapshot := func(plan core.HammerPlan) map[ftl.LBA]uint32 {
+	pat := attack.DoublePattern()
+	pat.Iterations = attack.WindowBudget(dev, 2)
+	h := &attack.DeviceHammerer{Dev: dev, NS: ns, Path: nvme.PathDirect}
+	snapshot := func(plan attack.Binding) map[ftl.LBA]uint32 {
 		m := make(map[ftl.LBA]uint32)
 		for _, g := range plan.VictimGlobalLBAs {
 			for k := ftl.LBA(0); k < 16; k++ {
@@ -83,15 +84,10 @@ func Figure1(w io.Writer, opt Options) error {
 		before := snapshot(plan)
 		// Trim the two hammer LBAs so their reads skip flash and run at
 		// interface speed (§3: trimmed-block acceleration).
-		fast := plan
-		fast.AggLBAs = [2][]ftl.LBA{{plan.AggLBAs[0][0]}, {plan.AggLBAs[1][0]}}
-		if err := atk.TrimRange(fast.AggLBAs[0][0], 1); err != nil {
+		if err := attack.PinAndTrim(dev, ns, nvme.PathDirect, &plan); err != nil {
 			return err
 		}
-		if err := atk.TrimRange(fast.AggLBAs[1][0], 1); err != nil {
-			return err
-		}
-		if err := atk.Hammer(fast, core.HammerOptions{Pairs: budget}); err != nil {
+		if err := h.Hammer(plan, pat); err != nil {
 			return err
 		}
 		for lba, old := range before {

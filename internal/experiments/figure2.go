@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/ext4"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/sim"
@@ -30,13 +30,13 @@ func Figure2(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID)
+	dev, ns := tb.Device, tb.AttackerNS
+	plans, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{VictimNSID: tb.VictimNS.ID})
 	if err != nil {
 		return err
 	}
 	amp := float64(tb.FTL.Config().HammersPerIO)
-	required := atk.RequiredRate()
+	required := attack.RequiredRate(dev)
 	fmt.Fprintf(w, "DRAM profile: %s\n", tb.DRAM.Config().Profile.Name)
 	fmt.Fprintf(w, "required aggressor-row activation rate: %.2f M/s\n", required/1e6)
 	fmt.Fprintf(w, "firmware amplification: x%.0f activations per I/O\n\n", amp)
@@ -61,13 +61,10 @@ func Figure2(w io.Writer, opt Options) error {
 
 	// Path (b): helper attacker VM, SRIOV-style direct queue access,
 	// reads of trimmed LBAs.
-	if err := atk.TrimRange(plans[0].AggLBAs[0][0], 1); err != nil {
+	if err := attack.PinAndTrim(dev, ns, nvme.PathDirect, &plans[0]); err != nil {
 		return err
 	}
-	if err := atk.TrimRange(plans[0].AggLBAs[1][0], 1); err != nil {
-		return err
-	}
-	bIOPS, err := atk.MeasuredRate(plans[0], n)
+	bIOPS, err := attack.MeasuredRate(dev, ns, nvme.PathDirect, plans[0], n)
 	if err != nil {
 		return err
 	}

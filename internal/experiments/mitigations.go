@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
+	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nvme"
@@ -23,49 +23,55 @@ type mitigationResult struct {
 }
 
 // mitigationProbe is one §5 table row specification: a config mutation
-// plus the attack options probing it. Each probe builds its own testbed in
-// its own world, so probes are independent trials for the parallel engine.
+// plus the hammer pattern probing it. Each probe builds its own testbed
+// in its own world, so probes are independent trials for the parallel
+// engine.
 type mitigationProbe struct {
-	name   string
-	mutate func(*cloud.Config)
-	hopts  core.HammerOptions
+	name    string
+	mutate  func(*cloud.Config)
+	pattern attack.Pattern
 }
 
 // mitigationProbes returns the §5 probe matrix in table order.
 func mitigationProbes() []mitigationProbe {
 	gcfg := guard.DefaultConfig()
+	double := attack.DoublePattern()
+	decoys := double
+	decoys.SyncDecoy = true
+	evict := double
+	evict.CacheEvictLines = 1024
 	return []mitigationProbe{
-		{"none (baseline)", nil, core.HammerOptions{}},
+		{"none (baseline)", nil, double},
 		{"ECC (SEC-DED per 64-bit word)", func(c *cloud.Config) {
 			c.DRAM.ECC = true
-		}, core.HammerOptions{}},
+		}, double},
 		{"TRR (sampler=1)", func(c *cloud.Config) {
 			c.DRAM.TRR = dram.DefaultTRR()
-		}, core.HammerOptions{}},
+		}, double},
 		{"TRR vs synchronized decoys", func(c *cloud.Config) {
 			c.DRAM.TRR = dram.DefaultTRR()
-		}, core.HammerOptions{SyncDecoy: true}},
+		}, decoys},
 		{"PARA p=0.02", func(c *cloud.Config) {
 			c.DRAM.PARA = 0.02
-		}, core.HammerOptions{}},
+		}, double},
 		{"2x refresh rate (32 ms window)", func(c *cloud.Config) {
 			c.DRAM.RefreshWindow = 32 * sim.Millisecond
-		}, core.HammerOptions{}},
+		}, double},
 		{"FTL CPU cache for L2P", func(c *cloud.Config) {
 			c.FTL.Cache.Enabled = true
 			c.FTL.Cache.Lines = 1024
-		}, core.HammerOptions{}},
+		}, double},
 		{"FTL cache vs eviction-aware reads", func(c *cloud.Config) {
 			c.FTL.Cache.Enabled = true
 			c.FTL.Cache.Lines = 1024
-		}, core.HammerOptions{CacheEvictLines: 1024}},
+		}, evict},
 		{"I/O rate limit (100K IOPS/ns)", func(c *cloud.Config) {
 			c.AttackerMaxIOPS = 100_000
 			c.VictimMaxIOPS = 100_000
-		}, core.HammerOptions{}},
+		}, double},
 		{"hammer guard (ours: detect+throttle)", func(c *cloud.Config) {
 			c.Guard = &gcfg
-		}, core.HammerOptions{}},
+		}, double},
 	}
 }
 
@@ -79,7 +85,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	probes := mitigationProbes()
 	rows, err := runTrialsObs(opt, len(probes), func(i int, reg *obs.Registry) (mitigationResult, error) {
 		p := probes[i]
-		r, err := probeMitigation(p.name, p.mutate, p.hopts, opt.Quick, reg)
+		r, err := probeMitigation(p, opt.Quick, reg)
 		if err != nil {
 			return mitigationResult{}, fmt.Errorf("experiments: mitigation %q: %w", p.name, err)
 		}
@@ -104,8 +110,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	if _, err := atk.AnalyzeCrossPartition(tb.VictimNS.ID); err != nil {
+	if _, err := attack.Analyze(tb.Device, tb.AttackerNS, attack.AnalyzeOptions{VictimNSID: tb.VictimNS.ID}); err != nil {
 		fmt.Fprintf(w, "hashed/keyed L2P:     offline layout analysis fails (%v)\n", err)
 	} else {
 		return fmt.Errorf("experiments: hashed L2P did not block analysis")
@@ -118,7 +123,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	s := core.NewSprayer(tb2.VictimFS, cloud.AttackerCred, "/home/attacker")
+	s := attack.NewSprayer(tb2.VictimFS, cloud.AttackerCred, "/home/attacker")
 	if _, err := s.Spray(2, 4, uint32(tb2.VictimFS.DataStart())); err != nil {
 		fmt.Fprintf(w, "extent-only ext4:     spraying fails (%v)\n", err)
 	} else {
@@ -131,29 +136,29 @@ func Mitigations5(w io.Writer, opt Options) error {
 
 // probeMitigation runs the standardized probe under one configuration.
 // reg (may be nil) observes the probe's testbed.
-func probeMitigation(name string, mutate func(*cloud.Config), hopts core.HammerOptions, quick bool, reg *obs.Registry) (mitigationResult, error) {
+func probeMitigation(p mitigationProbe, quick bool, reg *obs.Registry) (mitigationResult, error) {
 	cfg := quickTestbedConfig(0x50)
 	cfg.FTL.HammersPerIO = 1
 	// Single-tenant mapping so the probe can observe its own victim rows.
 	cfg.DRAM.Mapping = dram.MapperConfig{XorBank: true}
-	if mutate != nil {
-		mutate(&cfg)
+	if p.mutate != nil {
+		p.mutate(&cfg)
 	}
 	cfg.Obs = reg
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
 		return mitigationResult{}, err
 	}
-	atk := core.NewAttacker(tb.Device, tb.AttackerNS, nvme.PathDirect)
-	plans, err := atk.AnalyzeOwnPartition()
+	dev, ns := tb.Device, tb.AttackerNS
+	plans, err := attack.Analyze(dev, ns, attack.AnalyzeOptions{})
 	if err != nil {
 		return mitigationResult{}, err
 	}
-	if hopts.SyncDecoy {
+	if p.pattern.SyncDecoy {
 		withDecoys := plans[:0]
-		for _, p := range plans {
-			if p.HasDecoy {
-				withDecoys = append(withDecoys, p)
+		for _, b := range plans {
+			if b.HasDecoy {
+				withDecoys = append(withDecoys, b)
 			}
 		}
 		plans = withDecoys
@@ -168,8 +173,9 @@ func probeMitigation(name string, mutate func(*cloud.Config), hopts core.HammerO
 	if len(plans) > nPlans {
 		plans = plans[:nPlans]
 	}
-	budget := int(atk.RequiredRate()*tb.DRAM.Config().RefreshWindow.Seconds()) * 2
-	results, err := atk.Template(plans, core.TemplateOptions{Pairs: budget, Hammer: hopts})
+	pat := p.pattern
+	pat.Iterations = attack.WindowBudget(dev, 2)
+	results, err := attack.Template(dev, ns, nvme.PathDirect, plans, pat)
 	if err != nil {
 		return mitigationResult{}, err
 	}
@@ -181,7 +187,7 @@ func probeMitigation(name string, mutate func(*cloud.Config), hopts core.HammerO
 	}
 	st := tb.DRAM.Stats()
 	res := mitigationResult{
-		Name:      name,
+		Name:      p.name,
 		Flips:     st.Flips,
 		Corrected: st.ECCCorrected,
 		Observed:  observed,

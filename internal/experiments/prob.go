@@ -3,11 +3,115 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
-	"ftlhammer/internal/core"
 	"ftlhammer/internal/obs"
 	"ftlhammer/internal/sim"
 )
+
+// ProbParams are the §4.3 model parameters. All quantities are block
+// counts.
+type ProbParams struct {
+	// LB and PB are the device's total logical and physical blocks.
+	LB, PB float64
+	// Cv and Ca are the victim and attacker partition sizes
+	// (Cv + Ca <= LB).
+	Cv, Ca float64
+	// Fv is the number of blocks in files the attacker sprays inside
+	// the victim partition (half become indirect blocks, half data).
+	Fv float64
+	// Fa is the number of malicious blocks sprayed in the attacker
+	// partition.
+	Fa float64
+}
+
+// Validate reports parameter inconsistencies.
+func (p ProbParams) Validate() error {
+	if p.LB <= 0 || p.PB <= 0 {
+		return fmt.Errorf("experiments: LB/PB must be positive")
+	}
+	if p.Cv+p.Ca > p.LB {
+		return fmt.Errorf("experiments: Cv+Ca (%g) exceeds LB (%g)", p.Cv+p.Ca, p.LB)
+	}
+	if p.Fv > p.Cv || p.Fa > p.Ca {
+		return fmt.Errorf("experiments: spray exceeds partition size")
+	}
+	if p.Fv < 0 || p.Fa < 0 {
+		return fmt.Errorf("experiments: negative spray")
+	}
+	return nil
+}
+
+// PaperScenario returns the §4.3 illustration: equal partitions
+// (Cv = Ca = PB/2 = LB/2), victim partition 25% sprayed, attacker
+// partition 100% sprayed. The paper computes ≈7% for a single cycle.
+func PaperScenario() ProbParams {
+	const pb = 1 << 18 // any size; the ratios drive the result
+	return ProbParams{
+		LB: pb, PB: pb,
+		Cv: pb / 2, Ca: pb / 2,
+		Fv: pb / 8, // 25% of Cv
+		Fa: pb / 2, // 100% of Ca
+	}
+}
+
+// SingleCycle evaluates the closed-form §4.3 success probability of one
+// attack cycle:
+//
+//	P = (Fv/2)/Cv * ((Fv/2 + Fa)/PB) = Fv(Fv+2Fa) / (4*Cv*PB)
+func (p ProbParams) SingleCycle() float64 {
+	if err := p.Validate(); err != nil {
+		return 0
+	}
+	return p.Fv * (p.Fv + 2*p.Fa) / (4 * p.Cv * p.PB)
+}
+
+// AfterCycles returns the probability of at least one success in n
+// independent cycles: 1 - (1-P)^n. The paper: "repeating the attack cycle
+// for 10 times brings the chances of success to more than 50%".
+func (p ProbParams) AfterCycles(n int) float64 {
+	return 1 - math.Pow(1-p.SingleCycle(), float64(n))
+}
+
+// CyclesFor returns the number of cycles needed to reach the target
+// success probability.
+func (p ProbParams) CyclesFor(target float64) int {
+	single := p.SingleCycle()
+	if single <= 0 || target <= 0 {
+		return math.MaxInt32
+	}
+	if target >= 1 {
+		return math.MaxInt32
+	}
+	return int(math.Ceil(math.Log(1-target) / math.Log(1-single)))
+}
+
+// MonteCarloShard runs `trials` independent cycles from its own random
+// stream and returns the success count. It is the mergeable unit of the
+// parallel estimator: shard counts sum to the same total regardless of
+// which worker ran which shard.
+func (p ProbParams) MonteCarloShard(trials int, seed uint64) int {
+	if err := p.Validate(); err != nil {
+		return 0
+	}
+	rng := sim.NewRNG(seed)
+	cv := uint64(p.Cv)
+	pb := uint64(p.PB)
+	indirect := uint64(p.Fv / 2)       // sprayed indirect blocks in Cv
+	malicious := uint64(p.Fv/2 + p.Fa) // malicious data blocks device-wide
+	success := 0
+	for i := 0; i < trials; i++ {
+		entry := rng.Uint64n(cv)
+		if entry >= indirect {
+			continue // flip hit a translation we did not control
+		}
+		newPBA := rng.Uint64n(pb)
+		if newPBA < malicious {
+			success++
+		}
+	}
+	return success
+}
 
 // mcShardTrials is the fixed Monte Carlo shard size. Shard boundaries and
 // per-shard seeds depend only on (trial budget, base seed), never on the
@@ -17,7 +121,7 @@ const mcShardTrials = 50_000
 // monteCarloParallel estimates the single-cycle success probability by
 // fanning fixed-size shards across the trial engine and merging the
 // per-shard success counts in shard order.
-func monteCarloParallel(p core.ProbParams, trials int, seed uint64, opt Options) float64 {
+func monteCarloParallel(p ProbParams, trials int, seed uint64, opt Options) float64 {
 	if trials <= 0 {
 		return 0
 	}
@@ -47,7 +151,7 @@ func monteCarloParallel(p core.ProbParams, trials int, seed uint64, opt Options)
 // the chances of success to more than 50%").
 func Probability43(w io.Writer, opt Options) error {
 	section(w, "§4.3", "probability of a useful bitflip")
-	p := core.PaperScenario()
+	p := PaperScenario()
 	trials := 2_000_000
 	if opt.Quick {
 		trials = 300_000

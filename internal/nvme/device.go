@@ -442,11 +442,13 @@ func (d *Device) DoBatch(ctx context.Context, cmds []Command, comps []Completion
 	return comps
 }
 
+// Read, Write and Trim are the one-command convenience API over Do: each
+// builds a single Command, runs it, and folds the completion's status
+// into the returned error. Use Do (or DoBatch, or a QueuePair) directly
+// for batches, deadlines or completion details.
+
 // Read services one block read. The returned mapped flag reports whether
 // flash was touched (false for trimmed/unwritten LBAs — the fast path).
-//
-// Deprecated: build a Command and call Do; Read survives as a convenience
-// wrapper for existing call sites.
 func (d *Device) Read(ns *Namespace, lba ftl.LBA, buf []byte, path Path) (mapped bool, err error) {
 	c, err := d.Do(Command{Op: OpRead, NS: ns, Path: path, LBA: lba, Buf: buf})
 	if err != nil {
@@ -456,9 +458,6 @@ func (d *Device) Read(ns *Namespace, lba ftl.LBA, buf []byte, path Path) (mapped
 }
 
 // Write services one block write.
-//
-// Deprecated: build a Command and call Do; Write survives as a convenience
-// wrapper for existing call sites.
 func (d *Device) Write(ns *Namespace, lba ftl.LBA, data []byte, path Path) error {
 	c, err := d.Do(Command{Op: OpWrite, NS: ns, Path: path, LBA: lba, Buf: data})
 	if err != nil {
@@ -468,9 +467,6 @@ func (d *Device) Write(ns *Namespace, lba ftl.LBA, data []byte, path Path) error
 }
 
 // Trim deallocates one block (NVMe Dataset Management / Deallocate).
-//
-// Deprecated: build a Command and call Do; Trim survives as a convenience
-// wrapper for existing call sites.
 func (d *Device) Trim(ns *Namespace, lba ftl.LBA, path Path) error {
 	c, err := d.Do(Command{Op: OpTrim, NS: ns, Path: path, LBA: lba})
 	if err != nil {
