@@ -69,9 +69,6 @@ func pinAndTrimAll(dev *nvme.Device, ns *nvme.Namespace, path nvme.Path, binding
 type ContiguousAllocator struct {
 	// MaxBindings bounds the result (0: all).
 	MaxBindings int
-	// KeepSides leaves the full per-side LBA groups intact and skips
-	// the trim (slow path) — used when the caller manages trims itself.
-	KeepSides bool
 }
 
 // Allocate analyzes the attacker's own partition and readies the
@@ -84,10 +81,8 @@ func (a *ContiguousAllocator) Allocate(dev *nvme.Device, ns *nvme.Namespace, pat
 	if a.MaxBindings > 0 && len(bindings) > a.MaxBindings {
 		bindings = bindings[:a.MaxBindings]
 	}
-	if !a.KeepSides {
-		if err := pinAndTrimAll(dev, ns, path, bindings); err != nil {
-			return nil, err
-		}
+	if err := pinAndTrimAll(dev, ns, path, bindings); err != nil {
+		return nil, err
 	}
 	return bindings, nil
 }

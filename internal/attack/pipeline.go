@@ -36,8 +36,6 @@ type Pipeline struct {
 	Hammerer Hammerer
 	Victim   Victim
 
-	// MaxBindings bounds how many bindings are hammered (0: all).
-	MaxBindings int
 	// StopOnCorruption checks the victim after each binding and stops
 	// at the first observed corruption.
 	StopOnCorruption bool
@@ -88,9 +86,6 @@ func (p *Pipeline) Run(pat Pattern) (Result, error) {
 	bindings, err := p.Alloc.Allocate(p.Dev, p.NS, p.Path, pat.Sides)
 	if err != nil {
 		return Result{}, err
-	}
-	if p.MaxBindings > 0 && len(bindings) > p.MaxBindings {
-		bindings = bindings[:p.MaxBindings]
 	}
 	res := Result{Bindings: len(bindings)}
 	p.emit(EvStage, 0, int64(len(bindings)), 0)

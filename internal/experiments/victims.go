@@ -266,10 +266,9 @@ func probeVictimScenario(sc victimScenario, reg *obs.Registry) (victimRow, error
 	pat := attack.Pattern{Spec: "double", Sides: 2, Iterations: 64}
 	pipe := &attack.Pipeline{
 		Dev: dev, NS: attackNS, Path: nvme.PathDirect,
-		Alloc:       &attack.ContiguousAllocator{MaxBindings: 1},
-		Hammerer:    &attack.DeviceHammerer{Dev: dev, NS: attackNS, Path: nvme.PathDirect},
-		MaxBindings: 1,
-		Obs:         reg,
+		Alloc:    &attack.ContiguousAllocator{MaxBindings: 1},
+		Hammerer: &attack.DeviceHammerer{Dev: dev, NS: attackNS, Path: nvme.PathDirect},
+		Obs:      reg,
 	}
 
 	row := victimRow{Name: sc.name}
