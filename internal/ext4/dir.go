@@ -20,10 +20,11 @@ const (
 	direntMinRec = direntHeader + 4 // room for short names, keeps walks sane
 )
 
-// direntAt decodes the entry at off in a directory block.
-func direntAt(blk []byte, off int) (ino uint32, recLen int, name string, ftype byte, ok bool) {
+// direntAt decodes the entry at off in a directory block. name aliases
+// blk, so directory walks compare names without allocating.
+func direntAt(blk []byte, off int) (ino uint32, recLen int, name []byte, ftype byte, ok bool) {
 	if off+direntHeader > len(blk) {
-		return 0, 0, "", 0, false
+		return 0, 0, nil, 0, false
 	}
 	le := binary.LittleEndian
 	ino = le.Uint32(blk[off:])
@@ -31,9 +32,9 @@ func direntAt(blk []byte, off int) (ino uint32, recLen int, name string, ftype b
 	nameLen := int(blk[off+6])
 	ftype = blk[off+7]
 	if recLen < direntMinRec || off+recLen > len(blk) || off+direntHeader+nameLen > off+recLen {
-		return 0, 0, "", 0, false
+		return 0, 0, nil, 0, false
 	}
-	name = string(blk[off+direntHeader : off+direntHeader+nameLen])
+	name = blk[off+direntHeader : off+direntHeader+nameLen]
 	return ino, recLen, name, ftype, true
 }
 
@@ -47,10 +48,9 @@ func putDirent(blk []byte, off int, ino uint32, recLen int, name string, ftype b
 	copy(blk[off+direntHeader:], name)
 }
 
-// direntSpace is the aligned space a name needs.
-func direntSpace(name string) int {
-	n := direntHeader + len(name)
-	return (n + 3) &^ 3
+// direntSpace is the aligned space a name of nameLen bytes needs.
+func direntSpace(nameLen int) int {
+	return (direntHeader + nameLen + 3) &^ 3
 }
 
 // dirInit writes the initial "." and ".." entries of a new directory.
@@ -69,7 +69,7 @@ func (fs *FS) dirInit(ino, parent uint32, in *inode) error {
 // dirScan walks every entry of a directory, calling fn with the block
 // buffer, block index and entry offset. Returning done=true stops the
 // walk.
-func (fs *FS) dirScan(ino uint32, in *inode, fn func(blk []byte, fileBlk uint64, off int, ino uint32, recLen int, name string, ftype byte) (done bool, err error)) error {
+func (fs *FS) dirScan(ino uint32, in *inode, fn func(blk []byte, fileBlk uint64, off int, ino uint32, recLen int, name []byte, ftype byte) (done bool, err error)) error {
 	fs.curIno = ino
 	nBlocks := in.size / BlockSize
 	buf := make([]byte, BlockSize)
@@ -99,8 +99,8 @@ func (fs *FS) dirScan(ino uint32, in *inode, fn func(blk []byte, fileBlk uint64,
 // dirLookup finds name in the directory, returning its inode number.
 func (fs *FS) dirLookup(ino uint32, in *inode, name string) (uint32, error) {
 	var found uint32
-	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, entName string, _ byte) (bool, error) {
-		if entIno != 0 && entName == name {
+	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, entName []byte, _ byte) (bool, error) {
+		if entIno != 0 && string(entName) == name {
 			found = entIno
 			return true, nil
 		}
@@ -121,20 +121,20 @@ func (fs *FS) dirAdd(ino uint32, in *inode, name string, child uint32, ftype byt
 	if err := checkName(name); err != nil {
 		return err
 	}
-	need := direntSpace(name)
+	need := direntSpace(len(name))
 	inserted := false
-	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName string, entType byte) (bool, error) {
+	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName []byte, _ byte) (bool, error) {
 		// Space after the live entry (or a dead entry's whole record).
 		used := 0
 		if entIno != 0 {
-			used = direntSpace(entName)
+			used = direntSpace(len(entName))
 		}
 		if recLen-used < need {
 			return false, nil
 		}
 		if entIno != 0 {
 			// Split: shrink the live entry, append the new one.
-			putDirent(blk, off, entIno, used, entName, entType)
+			binary.LittleEndian.PutUint16(blk[off+4:], uint16(used))
 			putDirent(blk, off+used, child, recLen-used, name, ftype)
 		} else {
 			putDirent(blk, off, child, recLen, name, ftype)
@@ -170,8 +170,8 @@ func (fs *FS) dirRemove(ino uint32, in *inode, name string) error {
 	removed := false
 	var prevOff, prevRec = -1, 0
 	var prevBlk uint64
-	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName string, entType byte) (bool, error) {
-		if entIno != 0 && entName == name {
+	err := fs.dirScan(ino, in, func(blk []byte, fileBlk uint64, off int, entIno uint32, recLen int, entName []byte, _ byte) (bool, error) {
+		if entIno != 0 && string(entName) == name {
 			le := binary.LittleEndian
 			if prevOff >= 0 && prevBlk == fileBlk {
 				// Merge into predecessor.
@@ -205,8 +205,8 @@ func (fs *FS) dirRemove(ino uint32, in *inode, name string) error {
 // dirIsEmpty reports whether a directory holds only "." and "..".
 func (fs *FS) dirIsEmpty(ino uint32, in *inode) (bool, error) {
 	empty := true
-	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name string, _ byte) (bool, error) {
-		if entIno != 0 && name != "." && name != ".." {
+	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name []byte, _ byte) (bool, error) {
+		if entIno != 0 && string(name) != "." && string(name) != ".." {
 			empty = false
 			return true, nil
 		}
@@ -218,9 +218,9 @@ func (fs *FS) dirIsEmpty(ino uint32, in *inode) (bool, error) {
 // dirList returns the live entries (excluding "." and "..").
 func (fs *FS) dirList(ino uint32, in *inode) ([]DirEntry, error) {
 	var out []DirEntry
-	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name string, ftype byte) (bool, error) {
-		if entIno != 0 && name != "." && name != ".." {
-			out = append(out, DirEntry{Ino: entIno, Name: name, IsDir: ftype == ftypeDir})
+	err := fs.dirScan(ino, in, func(_ []byte, _ uint64, _ int, entIno uint32, _ int, name []byte, ftype byte) (bool, error) {
+		if entIno != 0 && string(name) != "." && string(name) != ".." {
+			out = append(out, DirEntry{Ino: entIno, Name: string(name), IsDir: ftype == ftypeDir})
 		}
 		return false, nil
 	})
