@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -182,5 +183,77 @@ func TestShrinkRefusesHealthyTrace(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "does not fail") {
 		t.Errorf("stderr missing explanation:\n%s", stderr.String())
+	}
+}
+
+// TestDeviceMatchesAssemblyGolden: with an empty trace, the reported
+// config digest and state hash are those of the freshly assembled
+// device, which must match the assembly golden's pins for the same
+// flags (cmd/hammerd's defaults on each DRAM profile).
+func TestDeviceMatchesAssemblyGolden(t *testing.T) {
+	b, err := os.ReadFile("../../internal/experiments/testdata/golden/assembly.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]struct {
+		ConfigDigest string `json:"config_digest"`
+		StateHash    string `json:"state_hash"`
+	}
+	if err := json.Unmarshal(b, &golden); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	ef, err := os.Create(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.WriteTrace(ef, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ef.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, profile := range []string{"weak", "testbed", "invulnerable"} {
+		t.Run(profile, func(t *testing.T) {
+			want, ok := golden["spec-"+profile]
+			if !ok {
+				t.Fatalf("assembly golden has no spec-%s entry", profile)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-trace", empty, "-profile", profile}, &stdout, &stderr); code != 0 {
+				t.Fatalf("run = %d, want 0; stderr:\n%s", code, stderr.String())
+			}
+			for _, line := range []string{
+				"device: config digest " + want.ConfigDigest,
+				"state hash: " + want.StateHash,
+			} {
+				if !strings.Contains(stdout.String(), line) {
+					t.Errorf("stdout missing %q:\n%s", line, stdout.String())
+				}
+			}
+		})
+	}
+}
+
+func TestRunFlagAndConfigErrors(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "cmds.jsonl")
+	recordTrace(t, trace)
+	cases := []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-no-such-flag"}, 2},
+		{[]string{"-profile", "granite"}, 1},
+		{[]string{"-tenants", "0"}, 1},
+		{[]string{"-fault-rate", "1.5"}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-trace", trace}, tc.args...)
+			if code := run(args, &stdout, &stderr); code != tc.want {
+				t.Errorf("run(%v) = %d, want %d; stderr:\n%s", args, code, tc.want, stderr.String())
+			}
+		})
 	}
 }

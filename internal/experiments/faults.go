@@ -84,9 +84,9 @@ func FaultsRobustness(w io.Writer, opt Options) error {
 	return nil
 }
 
-// faultProbe runs one trial: build the testbed with the plan armed, drive
-// a victim goodput workload, then the standardized attack probe.
-func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (faultTrial, error) {
+// faultConfig is one trial's testbed: the quick testbed at x1 with the
+// rate's fault plan and the robust NVMe front end.
+func faultConfig(rate float64, seed uint64) cloud.Config {
 	cfg := quickTestbedConfig(seed)
 	cfg.FTL.HammersPerIO = 1
 	// Single-tenant mapping so the probe can observe its own victim rows
@@ -97,6 +97,13 @@ func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (fault
 		cfg.Faults = &plan
 	}
 	cfg.Robust = nvme.DefaultRobust()
+	return cfg
+}
+
+// faultProbe runs one trial: build the testbed with the plan armed, drive
+// a victim goodput workload, then the standardized attack probe.
+func faultProbe(rate float64, seed uint64, quick bool, reg *obs.Registry) (faultTrial, error) {
+	cfg := faultConfig(rate, seed)
 	cfg.Obs = reg
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {

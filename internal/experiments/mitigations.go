@@ -102,9 +102,7 @@ func Mitigations5(w io.Writer, opt Options) error {
 
 	// Structural mitigations that stop earlier stages.
 	fmt.Fprintln(w)
-	hashedCfg := quickTestbedConfig(0x55)
-	hashedCfg.FTL.Hashed = true
-	hashedCfg.FTL.HashKey = 0xC0FFEE
+	hashedCfg := hashedTestbedConfig()
 	hashedCfg.Obs = opt.Obs
 	tb, err := cloud.NewTestbed(hashedCfg)
 	if err != nil {
@@ -134,9 +132,17 @@ func Mitigations5(w io.Writer, opt Options) error {
 	return nil
 }
 
-// probeMitigation runs the standardized probe under one configuration.
-// reg (may be nil) observes the probe's testbed.
-func probeMitigation(p mitigationProbe, quick bool, reg *obs.Registry) (mitigationResult, error) {
+// hashedTestbedConfig is the quick testbed with the §5 keyed hashed L2P.
+func hashedTestbedConfig() cloud.Config {
+	cfg := quickTestbedConfig(0x55)
+	cfg.FTL.Hashed = true
+	cfg.FTL.HashKey = 0xC0FFEE
+	return cfg
+}
+
+// mitigationConfig is one probe's testbed: the quick testbed at x1,
+// single-tenant mapping, with the probe's mutation applied.
+func mitigationConfig(p mitigationProbe) cloud.Config {
 	cfg := quickTestbedConfig(0x50)
 	cfg.FTL.HammersPerIO = 1
 	// Single-tenant mapping so the probe can observe its own victim rows.
@@ -144,6 +150,13 @@ func probeMitigation(p mitigationProbe, quick bool, reg *obs.Registry) (mitigati
 	if p.mutate != nil {
 		p.mutate(&cfg)
 	}
+	return cfg
+}
+
+// probeMitigation runs the standardized probe under one configuration.
+// reg (may be nil) observes the probe's testbed.
+func probeMitigation(p mitigationProbe, quick bool, reg *obs.Registry) (mitigationResult, error) {
+	cfg := mitigationConfig(p)
 	cfg.Obs = reg
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
