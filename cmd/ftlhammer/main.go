@@ -20,9 +20,9 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
-	"ftlhammer/internal/faults"
+	"ftlhammer/internal/fleet"
+	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/guard"
-	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
 	"ftlhammer/internal/sim"
@@ -79,70 +79,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	dcfg, _, err := fleet.ProfileConfig(*profile)
+	if err != nil {
+		return fail(err)
+	}
 	cfg := cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
-			},
-		},
-		FlashGeometry: nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
+		Device: fleet.DeviceSpec{
+			Profile:   *profile,
+			Tenants:   2,
+			Amplify:   *amplify,
+			FaultRate: *faultRate,
+			Robust:    *robust,
+			DRAM:      &dcfg,
 		},
 		VictimFillBlocks: 6144,
 		Seed:             *seed,
 		Obs:              reg,
 	}
-	switch *profile {
-	case "testbed":
-		cfg.DRAM.Profile = dram.TestbedProfile()
-		cfg.DRAM.Mapping.TwistGroup = 16
-		cfg.FlashGeometry = nand.DefaultGeometry()
-	case "weak":
-		cfg.DRAM.Profile = dram.Profile{
-			Name:            "weak DDR (scaled)",
-			HCfirst:         24000,
-			ThresholdSigma:  0.1,
-			WeakCellsPerRow: 2.0,
-		}
-	case "invulnerable":
-		cfg.DRAM.Profile = dram.InvulnerableProfile()
-	default:
-		return fail(fmt.Errorf("unknown profile %q", *profile))
-	}
-	cfg.FTL.HammersPerIO = *amplify
-
 	switch *mitigation {
 	case "none":
 	case "ecc":
-		cfg.DRAM.ECC = true
+		dcfg.ECC = true
 	case "trr":
-		cfg.DRAM.TRR = dram.DefaultTRR()
+		dcfg.TRR = dram.DefaultTRR()
 	case "para":
-		cfg.DRAM.PARA = 0.02
+		dcfg.PARA = 0.02
 	case "refresh2x":
-		cfg.DRAM.RefreshWindow = 32 * sim.Millisecond
+		dcfg.RefreshWindow = 32 * sim.Millisecond
 	case "cache":
-		cfg.FTL.Cache.Enabled = true
-		cfg.FTL.Cache.Lines = 1024
+		cfg.Device.Cache = ftl.CacheConfig{Enabled: true, Lines: 1024}
 	case "ratelimit":
-		cfg.AttackerMaxIOPS = 100_000
-		cfg.VictimMaxIOPS = 100_000
+		cfg.Device.MaxIOPS = 100_000
 	case "hashed":
-		cfg.FTL.Hashed = true
-		cfg.FTL.HashKey = *seed ^ 0xD00D
+		cfg.Device.Hashed = true
+		cfg.Device.HashKey = *seed ^ 0xD00D
 	case "extent-only":
 		cfg.ForbidIndirect = true
 	case "guard":
 		gcfg := guard.DefaultConfig()
-		cfg.Guard = &gcfg
+		cfg.Device.Guard = &gcfg
 	default:
 		// Parameterized in-DRAM zoo specs: trr:<sampler>, para:<p>,
 		// refresh:<scale> (docs/DEFENSES.md).
@@ -150,23 +125,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil || mc.Mode == dram.MitNone {
 			return fail(fmt.Errorf("unknown mitigation %q", *mitigation))
 		}
-		cfg.DRAM.Profile = cfg.DRAM.Profile.WithMitigation(mc)
+		dcfg.Profile = dcfg.Profile.WithMitigation(mc)
 	}
-
-	if *faultRate < 0 || *faultRate > 1 {
-		return fail(fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate))
-	}
-	if *faultRate > 0 {
-		p := faults.RatePlan(*faultRate)
-		cfg.Faults = &p
+	if err := cfg.Device.Validate(); err != nil {
+		return fail(err)
 	}
 	robustOn := *robust || *faultRate > 0
-	if robustOn {
-		cfg.Robust = nvme.DefaultRobust()
-	}
 
 	fmt.Fprintf(stdout, "building testbed: %s, amplification x%d, mitigation %s\n",
-		cfg.DRAM.Profile.Name, *amplify, *mitigation)
+		dcfg.Profile.Name, *amplify, *mitigation)
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {
 		return fail(err)

@@ -4,9 +4,9 @@
 // between the binary format and JSON.
 //
 // The device-building flags (-profile, -seed, -tenants, -amplify,
-// -fault-rate, -robust) mirror cmd/hammerd, so a trace recorded by
-// `hammerd -record` replays here against an identically configured
-// device. Alternatively -restore starts the replay from a binary
+// -fault-rate, -robust) fill the same fleet.DeviceSpec that cmd/hammerd
+// builds, so a trace recorded by `hammerd -record` replays here against
+// an identically configured device. Alternatively -restore starts the replay from a binary
 // snapshot taken with -save or nvme.Device.Checkpoint.
 //
 // Modes:
@@ -28,7 +28,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,13 +35,9 @@ import (
 	"strconv"
 	"strings"
 
-	"ftlhammer/internal/dram"
-	"ftlhammer/internal/faults"
-	"ftlhammer/internal/ftl"
-	"ftlhammer/internal/nand"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/replay"
-	"ftlhammer/internal/sim"
 	"ftlhammer/internal/snapshot"
 )
 
@@ -50,103 +45,17 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// devConfig carries the device-building flags; it matches cmd/hammerd so
-// recorded traces replay against the same configuration.
-type devConfig struct {
-	profile   string
-	seed      uint64
-	tenants   int
-	amplify   int
-	faultRate float64
-	robust    bool
-}
-
-// build constructs a fresh device from the config. Shrinking calls it
-// once per delta-debugging probe, which is what makes every probe start
-// from the same initial state.
-func (c devConfig) build() (*nvme.Device, error) {
-	dcfg := dram.Config{
-		Geometry: dram.SSDGeometry(),
-		Timing:   dram.DefaultTiming(),
-		Mapping: dram.MapperConfig{
-			Twist:      dram.TwistInterleave,
-			TwistGroup: 8,
-			XorBank:    true,
-		},
-		Seed: c.seed,
-	}
-	geom := nand.Geometry{
-		Channels:      4,
-		DiesPerChan:   2,
-		PlanesPerDie:  2,
-		BlocksPerPlan: 32,
-		PagesPerBlock: 256,
-		PageBytes:     4096,
-	}
-	switch c.profile {
-	case "testbed":
-		dcfg.Profile = dram.TestbedProfile()
-		dcfg.Mapping.TwistGroup = 16
-		geom = nand.DefaultGeometry()
-	case "weak":
-		dcfg.Profile = dram.Profile{
-			Name:            "weak DDR (scaled)",
-			HCfirst:         24000,
-			ThresholdSigma:  0.1,
-			WeakCellsPerRow: 2.0,
-		}
-	case "invulnerable":
-		dcfg.Profile = dram.InvulnerableProfile()
-	default:
-		return nil, fmt.Errorf("unknown profile %q", c.profile)
-	}
-	if c.tenants < 1 || c.tenants > 0xFFFF {
-		return nil, fmt.Errorf("-tenants must be in [1, 65535], got %d", c.tenants)
-	}
-	if c.faultRate < 0 || c.faultRate > 1 {
-		return nil, errors.New("-fault-rate must be in [0,1]")
-	}
-
-	world := sim.NewWorld(c.seed)
-	inj := faults.New(faults.RatePlan(c.faultRate), world)
-	mem := dram.New(dcfg, world)
-	flash := nand.New(geom, nand.DefaultLatency(), nand.WithFaults(inj))
-	f, err := ftl.New(ftl.Config{
-		NumLBAs:      geom.TotalPages() * 15 / 16,
-		HammersPerIO: c.amplify,
-	}, mem, flash)
-	if err != nil {
-		return nil, err
-	}
-	f.SetFaults(inj)
-	ncfg := nvme.Config{Faults: inj}
-	if c.robust || c.faultRate > 0 {
-		ncfg.Robust = nvme.DefaultRobust()
-	}
-	dev := nvme.New(ncfg, f, mem, flash, world)
-	per := f.NumLBAs() / uint64(c.tenants)
-	if per == 0 {
-		return nil, fmt.Errorf("device too small for %d tenants", c.tenants)
-	}
-	for i := 0; i < c.tenants; i++ {
-		if _, err := dev.AddNamespace(per, 0); err != nil {
-			return nil, err
-		}
-	}
-	return dev, nil
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ftlreplay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var cfg devConfig
-	fs.StringVar(&cfg.profile, "profile", "weak", "DRAM profile: testbed | weak | invulnerable")
-	fs.Uint64Var(&cfg.seed, "seed", 0xBEEF, "simulation seed")
-	fs.IntVar(&cfg.tenants, "tenants", 4, "number of equal namespaces carved from the device")
-	fs.IntVar(&cfg.amplify, "amplify", 1, "firmware hammers per I/O")
-	fs.Float64Var(&cfg.faultRate, "fault-rate", 0, "inject device faults at this per-op probability")
-	fs.BoolVar(&cfg.robust, "robust", false, "enable the NVMe retry/timeout/degradation policy (implied by -fault-rate)")
+	var spec fleet.DeviceSpec
+	fs.StringVar(&spec.Profile, "profile", "weak", "DRAM profile: testbed | weak | invulnerable")
+	fs.IntVar(&spec.Tenants, "tenants", 4, "number of equal namespaces carved from the device")
+	fs.IntVar(&spec.Amplify, "amplify", 1, "firmware hammers per I/O")
+	fs.Float64Var(&spec.FaultRate, "fault-rate", 0, "inject device faults at this per-op probability")
+	fs.BoolVar(&spec.Robust, "robust", false, "enable the NVMe retry/timeout/degradation policy (implied by -fault-rate)")
 	var (
+		seed       = fs.Uint64("seed", 0xBEEF, "simulation seed")
 		tracePath  = fs.String("trace", "", "replay this command-trace JSONL file")
 		restore    = fs.String("restore", "", "restore the device from this binary snapshot before replaying")
 		save       = fs.String("save", "", "snapshot the device to this file after the replay")
@@ -202,11 +111,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
+	if err := spec.Validate(); err != nil {
+		return fail(err)
+	}
+	// Shrinking builds once per delta-debugging probe, which is what
+	// makes every probe start from the same initial state.
 	fresh := func() (*nvme.Device, error) {
-		dev, err := cfg.build()
+		bd, err := spec.Build(*seed, nil)
 		if err != nil {
 			return nil, err
 		}
+		dev := bd.Device
 		if snapBytes != nil {
 			if err := dev.Restore(bytes.NewReader(snapBytes)); err != nil {
 				return nil, fmt.Errorf("restoring %s: %w", *restore, err)

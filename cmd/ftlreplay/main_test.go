@@ -9,15 +9,20 @@ import (
 	"strings"
 	"testing"
 
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/replay"
 )
 
-// defaultConfig mirrors the flag defaults in run, so traces recorded
-// here replay with no device flags.
-func defaultConfig() devConfig {
-	return devConfig{profile: "weak", seed: 0xBEEF, tenants: 4, amplify: 1}
+// defaultDevice builds the device run's flag defaults describe, so
+// traces recorded here replay with no device flags.
+func defaultDevice() (*nvme.Device, error) {
+	bd, err := fleet.DeviceSpec{Profile: "weak", Tenants: 4, Amplify: 1}.Build(0xBEEF, nil)
+	if err != nil {
+		return nil, err
+	}
+	return bd.Device, nil
 }
 
 // recordTrace drives a deterministic workload (including one command
@@ -26,7 +31,7 @@ func defaultConfig() devConfig {
 // device's final state hash — what a replay must reproduce.
 func recordTrace(t *testing.T, path string) uint64 {
 	t.Helper()
-	dev, err := defaultConfig().build()
+	dev, err := defaultDevice()
 	if err != nil {
 		t.Fatal(err)
 	}

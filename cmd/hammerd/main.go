@@ -110,12 +110,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *metrics != "" && *metrics != "table" && *metrics != "json" {
 		return fail(fmt.Errorf("-metrics must be 'table' or 'json', got %q", *metrics))
 	}
-	if *tenants < 1 || *tenants > 0xFFFF {
-		return fail(fmt.Errorf("-tenants must be in [1, 65535], got %d", *tenants))
-	}
-	if *faultRate < 0 || *faultRate > 1 || *connFaultRate < 0 || *connFaultRate > 1 {
-		return fail(errors.New("-fault-rate and -conn-fault-rate must be in [0,1]"))
-	}
 
 	var reg *obs.Registry
 	if *metrics != "" || *trace != "" {

@@ -10,9 +10,9 @@ import (
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ext4"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
 	"ftlhammer/internal/guard"
-	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/sim"
 	"ftlhammer/internal/workload"
@@ -23,29 +23,10 @@ import (
 // profile that flips after 2000 disturbances, and a dense weak-cell
 // population.
 func fastConfig(mutate func(*cloud.Config)) cloud.Config {
+	dcfg, _, _ := fleet.ProfileConfig("weak") // a built-in profile: no error
+	dcfg.Profile.Name = "fast-weak"
 	cfg := cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile: dram.Profile{
-				Name:            "fast-weak",
-				HCfirst:         24000,
-				ThresholdSigma:  0.1,
-				WeakCellsPerRow: 2.0,
-			},
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
-			},
-		},
-		FlashGeometry: nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
-		}, // 512 MiB
+		Device:           fleet.DeviceSpec{Profile: "weak", Tenants: 2, Amplify: 5, DRAM: &dcfg},
 		VictimFillBlocks: 6144,
 		Seed:             0xBEEF,
 	}
@@ -221,8 +202,8 @@ func TestAnalyzeSidesExtendsPlans(t *testing.T) {
 
 func TestAnalyzeFailsOnHashedL2P(t *testing.T) {
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.Hashed = true
-		c.FTL.HashKey = 0xD00D
+		c.Device.Hashed = true
+		c.Device.HashKey = 0xD00D
 	})
 	if _, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{VictimNSID: tb.VictimNS.ID}); err == nil {
 		t.Fatal("offline analysis succeeded against randomized layout")
@@ -284,10 +265,10 @@ func TestTemplateSeparatesVulnerableRows(t *testing.T) {
 		t.Skip("campaign-scale; skipped with -short")
 	}
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.DRAM.Profile.WeakCellsPerRow = 0.5 // make clean rows common
+		c.Device.DRAM.Profile.WeakCellsPerRow = 0.5 // make clean rows common
 		// Same-owner triples need physically contiguous same-partition
 		// rows — the Figure 1 single-tenant setting, plain mapping.
-		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+		c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	})
 	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 	if err != nil {
@@ -491,7 +472,7 @@ func TestCampaignLeaksVictimData(t *testing.T) {
 	// and is only needed when the DRAM is barely vulnerable; this
 	// profile is not. Dense spray maximizes the fraction of victim-row
 	// translations the attacker controls (the paper's Fv = 25% of Cv).
-	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
+	tb := fastTestbed(t, func(c *cloud.Config) { c.Device.Amplify = 1 })
 	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
@@ -528,8 +509,8 @@ func TestCampaignChurnKeepsFSConsistent(t *testing.T) {
 	// stay exactly consistent. Regression test for the GC headroom and
 	// write-path ordering bugs this workload once exposed.
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.HammersPerIO = 1
-		c.DRAM.Profile = dram.InvulnerableProfile()
+		c.Device.Amplify = 1
+		c.Device.DRAM.Profile = dram.InvulnerableProfile()
 	})
 	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
@@ -564,7 +545,7 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 	// campaign must survive to completion even though flips can corrupt
 	// the victim filesystem — the §3.2 "data corruption" outcome is
 	// expected collateral, not an error.
-	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
+	tb := fastTestbed(t, func(c *cloud.Config) { c.Device.Amplify = 1 })
 	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      3072,
 		TargetsPerFile:  64,
@@ -601,9 +582,9 @@ func TestCampaignFlipLocalityAndCollateralDamage(t *testing.T) {
 func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 	run := func(policy dram.RowPolicy) uint64 {
 		tb := fastTestbed(t, func(c *cloud.Config) {
-			c.FTL.HammersPerIO = 1
-			c.DRAM.Policy = policy
-			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+			c.Device.Amplify = 1
+			c.Device.DRAM.Policy = policy
+			c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 		})
 		plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 		if err != nil {
@@ -633,8 +614,8 @@ func TestOneLocationHammerNeedsClosedRowPolicy(t *testing.T) {
 
 func TestSingleSidedPattern(t *testing.T) {
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.HammersPerIO = 1
-		c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+		c.Device.Amplify = 1
+		c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	})
 	plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 	if err != nil {
@@ -673,7 +654,7 @@ func TestCampaignSurvivesVictimBackgroundTraffic(t *testing.T) {
 	// The victim tenant keeps doing its own I/O while the attack runs:
 	// interleave Zipf-distributed victim reads with campaign cycles and
 	// confirm flips still land.
-	tb := fastTestbed(t, func(c *cloud.Config) { c.FTL.HammersPerIO = 1 })
+	tb := fastTestbed(t, func(c *cloud.Config) { c.Device.Amplify = 1 })
 	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      1024,
 		TargetsPerFile:  64,
@@ -720,10 +701,10 @@ func TestCacheEvictionBypass(t *testing.T) {
 	// bits anyway.
 	run := func(evict int) (flips uint64, observed bool) {
 		tb := fastTestbed(t, func(c *cloud.Config) {
-			c.FTL.HammersPerIO = 1
-			c.FTL.Cache.Enabled = true
-			c.FTL.Cache.Lines = 1024
-			c.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+			c.Device.Amplify = 1
+			c.Device.Cache.Enabled = true
+			c.Device.Cache.Lines = 1024
+			c.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 		})
 		plans, err := Analyze(tb.Device, tb.AttackerNS, AnalyzeOptions{})
 		if err != nil {
@@ -768,8 +749,8 @@ func TestGuardNeutralizesCampaign(t *testing.T) {
 	// unthrottled.
 	gcfg := guard.DefaultConfig()
 	tb := fastTestbed(t, func(c *cloud.Config) {
-		c.FTL.HammersPerIO = 1
-		c.Guard = &gcfg
+		c.Device.Amplify = 1
+		c.Device.Guard = &gcfg
 	})
 	camp := NewCampaign(tb, CampaignConfig{
 		SprayFiles:      1024,

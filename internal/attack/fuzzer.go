@@ -104,14 +104,7 @@ func (t TargetSpec) Build(reg *obs.Registry) (*nvme.Device, error) {
 		Profile:  FuzzProfile().WithMitigation(mc),
 		Mapping:  dram.MapperConfig{XorBank: true},
 	}
-	geom := nand.Geometry{
-		Channels:      4,
-		DiesPerChan:   2,
-		PlanesPerDie:  2,
-		BlocksPerPlan: 32,
-		PagesPerBlock: 256,
-		PageBytes:     4096,
-	}
+	geom := nand.HalfGeometry()
 	gc := t.Guard
 	if gc == nil && !t.NoGuard {
 		def := guard.DefaultConfig()

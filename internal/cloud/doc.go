@@ -10,5 +10,6 @@
 //
 // Both namespaces are partitions of the same logical space, so the shared
 // FTL keeps both tenants' translations in one L2P table in one DRAM module:
-// the cross-partition attack surface.
+// the cross-partition attack surface. The SSD is a two-tenant
+// fleet.DeviceSpec; DefaultConfig is the paper's preset of it.
 package cloud

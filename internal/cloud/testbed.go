@@ -6,9 +6,8 @@ import (
 
 	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ext4"
-	"ftlhammer/internal/faults"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/ftl"
-	"ftlhammer/internal/guard"
 	"ftlhammer/internal/nand"
 	"ftlhammer/internal/nvme"
 	"ftlhammer/internal/obs"
@@ -31,42 +30,21 @@ var AttackerCred = ext4.Cred{UID: 1000, GID: 1000}
 
 // Config assembles a testbed.
 type Config struct {
-	// DRAM configures the SSD-internal DRAM. Zero value: SSDGeometry
-	// with the paper's vulnerable testbed profile and the reverse-
-	// engineered mapping (bank XOR + row interleave).
-	DRAM dram.Config
-	// Flash configures the NAND array (zero value: 1 GiB default).
-	FlashGeometry nand.Geometry
-	FlashLatency  nand.Latency
-	// FTL tuning; NumLBAs is filled from the flash geometry when zero.
-	FTL ftl.Config
-	// VictimFraction is the share of logical space given to the victim
-	// VM (default 0.5, the paper's equal split).
-	VictimFraction float64
-	// VictimMaxIOPS / AttackerMaxIOPS enable the §5 rate-limiting
-	// mitigation when non-zero.
-	VictimMaxIOPS   float64
-	AttackerMaxIOPS float64
+	// Device is the shared SSD. NewTestbed builds it with exactly two
+	// tenants (Tenants must be 2) under Seed: namespace 1 is the attacker
+	// VM's, namespace 2 the victim's, each half of the logical space.
+	// Its fault plan is disarmed during testbed assembly (mkfs + victim
+	// fill) and armed when NewTestbed returns, so setup stays
+	// fault-free.
+	Device fleet.DeviceSpec
 	// ForbidIndirect formats the victim filesystem with the §5
 	// extent-only software mitigation.
 	ForbidIndirect bool
-	// Guard attaches the firmware-side hammer detector with targeted
-	// throttling (this reproduction's answer to the paper's concluding
-	// open question).
-	Guard *guard.Config
 	// VictimFillBlocks pre-populates the victim filesystem with that
 	// many blocks of existing tenant data (default 16384; a fresh cloud
 	// disk is never empty). Attacker spray files therefore allocate
 	// *after* this data, the situation §4.2 assumes.
 	VictimFillBlocks uint64
-	// Faults, when non-nil, compiles a fault-injection plan into the
-	// testbed world and threads the injector through nand, ftl and nvme.
-	// The plan is disarmed during testbed assembly (mkfs + victim fill)
-	// and armed when NewTestbed returns, so setup stays fault-free.
-	Faults *faults.Plan
-	// Robust configures the NVMe front end's retry/timeout/degradation
-	// policy (zero: the idealized always-succeeds device).
-	Robust nvme.Robust
 	// Obs, when non-nil, becomes the testbed world's metrics registry
 	// and event tracer: every layer (DRAM, FTL, NVMe) registers its
 	// instruments there. The registry inherits the world's
@@ -77,10 +55,14 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the paper-faithful setup: vulnerable DDR3-class
-// DRAM, x5 hammer amplification, uncached linear L2P, equal partitions.
+// DefaultConfig returns the paper's §4.1 setup: one 1 GiB SSD with
+// vulnerable testbed DRAM and x5 hammer amplification, uncached linear
+// L2P, shared equally by two VMs.
 func DefaultConfig() Config {
-	return Config{Seed: 0x5511}
+	return Config{
+		Device: fleet.DeviceSpec{Profile: "testbed", Tenants: 2, Amplify: 5},
+		Seed:   0x5511,
+	}
 }
 
 // Testbed is the assembled environment. It lives in a single simulation
@@ -109,75 +91,24 @@ type Testbed struct {
 // NewTestbed builds and populates the environment: device, namespaces,
 // formatted victim filesystem with the standard secret files.
 func NewTestbed(cfg Config) (*Testbed, error) {
-	if cfg.DRAM.Geometry == (dram.Geometry{}) {
-		cfg.DRAM.Geometry = dram.SSDGeometry()
-		cfg.DRAM.Profile = dram.TestbedProfile()
-		cfg.DRAM.Mapping = dram.MapperConfig{
-			Twist:      dram.TwistInterleave,
-			TwistGroup: 16,
-			XorBank:    true,
-		}
+	if cfg.Device.Tenants != 2 {
+		return nil, fmt.Errorf("cloud: the testbed device has 2 tenants, got %d", cfg.Device.Tenants)
 	}
-	if cfg.DRAM.Timing == (dram.Timing{}) {
-		cfg.DRAM.Timing = dram.DefaultTiming()
-	}
-	if cfg.DRAM.Seed == 0 {
-		cfg.DRAM.Seed = cfg.Seed
-	}
-	if cfg.FlashGeometry == (nand.Geometry{}) {
-		cfg.FlashGeometry = nand.DefaultGeometry()
-	}
-	if cfg.FlashLatency == (nand.Latency{}) {
-		cfg.FlashLatency = nand.DefaultLatency()
-	}
-	if cfg.VictimFraction == 0 {
-		cfg.VictimFraction = 0.5
-	}
-	if cfg.VictimFraction <= 0 || cfg.VictimFraction >= 1 {
-		return nil, fmt.Errorf("cloud: VictimFraction %v out of (0,1)", cfg.VictimFraction)
-	}
-	world := sim.NewWorld(cfg.Seed)
-	world.Obs = cfg.Obs
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		inj = faults.New(*cfg.Faults, world)
-	}
-	mem := dram.New(cfg.DRAM, world)
-	flash := nand.New(cfg.FlashGeometry, cfg.FlashLatency, nand.WithFaults(inj))
-	fcfg := cfg.FTL
-	if fcfg.NumLBAs == 0 {
-		fcfg.NumLBAs = cfg.FlashGeometry.TotalPages() * 15 / 16
-	}
-	if fcfg.HammersPerIO == 0 {
-		fcfg.HammersPerIO = 5 // the paper's amplification (§4.1)
-	}
-	f, err := ftl.New(fcfg, mem, flash)
+	bd, err := cfg.Device.Build(cfg.Seed, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	f.SetFaults(inj)
-	dev := nvme.New(nvme.Config{Robust: cfg.Robust, Faults: inj}, f, mem, flash, world)
-	if cfg.Guard != nil {
-		dev.AttachGuard(guard.New(*cfg.Guard))
-	}
-	victimBlocks := uint64(float64(f.NumLBAs()) * cfg.VictimFraction)
-	attackerBlocks := f.NumLBAs() - victimBlocks
-	// Attacker partition first, victim second: entry-index order then
-	// matches [attacker | victim], the layout §4.2 analyzes.
-	ans, err := dev.AddNamespace(attackerBlocks, cfg.AttackerMaxIOPS)
-	if err != nil {
-		return nil, err
-	}
-	vns, err := dev.AddNamespace(victimBlocks, cfg.VictimMaxIOPS)
-	if err != nil {
-		return nil, err
-	}
+	dev := bd.Device
+	// Namespace 1 comes first in entry-index order, so the L2P table is
+	// laid out [attacker | victim], the layout §4.2 analyzes.
+	ans, _ := dev.NamespaceByID(1)
+	vns, _ := dev.NamespaceByID(2)
 	tb := &Testbed{
-		World:      world,
-		Clock:      world.Clock,
-		DRAM:       mem,
-		Flash:      flash,
-		FTL:        f,
+		World:      bd.World,
+		Clock:      bd.World.Clock,
+		DRAM:       dev.DRAM(),
+		Flash:      dev.Flash(),
+		FTL:        dev.FTL(),
 		Device:     dev,
 		VictimNS:   vns,
 		AttackerNS: ans,
@@ -186,11 +117,11 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	// Assembly runs fault-free: injected failures during mkfs or the
 	// victim fill would make "did the testbed even build" depend on the
 	// fault plan instead of on the experiment under it.
-	inj.Disarm()
+	bd.Injector.Disarm()
 	if err := tb.setupVictimFS(); err != nil {
 		return nil, err
 	}
-	inj.Arm()
+	bd.Injector.Arm()
 	return tb, nil
 }
 

@@ -5,32 +5,16 @@ import (
 	"strings"
 	"testing"
 
-	"ftlhammer/internal/dram"
 	"ftlhammer/internal/ext4"
-	"ftlhammer/internal/nand"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/nvme"
 )
 
-// smallConfig keeps testbed construction fast.
+// smallConfig keeps testbed construction fast: the invulnerable
+// profile's 512 MiB SSD.
 func smallConfig() Config {
 	return Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile:  dram.InvulnerableProfile(),
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
-			},
-		},
-		FlashGeometry: nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
-		},
+		Device:           fleet.DeviceSpec{Profile: "invulnerable", Tenants: 2, Amplify: 5},
 		VictimFillBlocks: 512,
 		Seed:             1,
 	}
@@ -184,17 +168,17 @@ func TestFilesystemTrafficIsNVMeTraffic(t *testing.T) {
 	}
 }
 
-func TestInvalidVictimFraction(t *testing.T) {
+func TestTestbedNeedsTwoTenants(t *testing.T) {
 	cfg := smallConfig()
-	cfg.VictimFraction = 1.5
+	cfg.Device.Tenants = 4
 	if _, err := NewTestbed(cfg); err == nil {
-		t.Fatal("invalid fraction accepted")
+		t.Fatal("four-tenant testbed accepted")
 	}
 }
 
 func TestRateLimitedNamespaces(t *testing.T) {
 	cfg := smallConfig()
-	cfg.AttackerMaxIOPS = 50_000
+	cfg.Device.MaxIOPS = 50_000
 	tb, err := NewTestbed(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -65,14 +65,7 @@ func blastSpec(quick bool) fleet.DeviceSpec {
 			WeakCellsPerRow: 2.0,
 		}
 		dcfg.Mapping.TwistGroup = 8
-		geom = nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
-		}
+		geom = nand.HalfGeometry()
 	}
 	return fleet.DeviceSpec{
 		Tenants: 2,

@@ -7,7 +7,7 @@ import (
 	"ftlhammer/internal/attack"
 	"ftlhammer/internal/cloud"
 	"ftlhammer/internal/dram"
-	"ftlhammer/internal/nand"
+	"ftlhammer/internal/fleet"
 	"ftlhammer/internal/sim"
 )
 
@@ -44,52 +44,28 @@ func fillVictimRow(m *dram.Module, row int, scratch []uint64) ([]uint64, error) 
 	return scratch, nil
 }
 
-// paperTestbedConfig is the §4.1 cloud environment at full scale: 1 GiB
-// SSD, testbed-vulnerable DRAM, x5 amplification.
+// paperTestbedConfig is the §4.1 cloud environment at full scale
+// (cloud.DefaultConfig: 1 GiB SSD, testbed-vulnerable DRAM, x5
+// amplification) under the given seed, with the profile's DRAM config
+// spelled out so experiments can edit it.
 func paperTestbedConfig(seed uint64) cloud.Config {
-	return cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile:  dram.TestbedProfile(),
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 16,
-				XorBank:    true,
-			},
-			Seed: seed,
-		},
-		Seed: seed,
-	}
+	cfg := cloud.DefaultConfig()
+	dcfg, _, _ := fleet.ProfileConfig(cfg.Device.Profile) // a built-in profile: no error
+	cfg.Device.DRAM = &dcfg
+	cfg.Seed = seed
+	return cfg
 }
 
-// quickTestbedConfig is a scaled testbed (512 MiB SSD, softer flip
-// threshold) for fast runs; the shape of every result is preserved.
+// quickTestbedConfig is a scaled testbed for fast runs: the weak
+// device profile (512 MiB SSD, softer flip threshold) under its own DRAM
+// profile name, still at x5; the shape of every result is preserved.
 func quickTestbedConfig(seed uint64) cloud.Config {
-	return cloud.Config{
-		DRAM: dram.Config{
-			Geometry: dram.SSDGeometry(),
-			Profile: dram.Profile{
-				Name:            "scaled testbed DDR3",
-				HCfirst:         24000,
-				ThresholdSigma:  0.1,
-				WeakCellsPerRow: 2.0,
-			},
-			Mapping: dram.MapperConfig{
-				Twist:      dram.TwistInterleave,
-				TwistGroup: 8,
-				XorBank:    true,
-			},
-			Seed: seed,
-		},
-		FlashGeometry: nand.Geometry{
-			Channels:      4,
-			DiesPerChan:   2,
-			PlanesPerDie:  2,
-			BlocksPerPlan: 32,
-			PagesPerBlock: 256,
-			PageBytes:     4096,
-		},
-		VictimFillBlocks: 6144,
-		Seed:             seed,
-	}
+	cfg := cloud.DefaultConfig()
+	cfg.Device.Profile = "weak"
+	dcfg, _, _ := fleet.ProfileConfig(cfg.Device.Profile) // a built-in profile: no error
+	dcfg.Profile.Name = "scaled testbed DDR3"
+	cfg.Device.DRAM = &dcfg
+	cfg.VictimFillBlocks = 6144
+	cfg.Seed = seed
+	return cfg
 }

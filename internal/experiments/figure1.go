@@ -24,8 +24,8 @@ func Figure1(w io.Writer, opt Options) error {
 		cfg = paperTestbedConfig(0xF1)
 	}
 	// Single-tenant: plain row mapping so same-owner triples exist.
-	cfg.DRAM.Mapping = dram.MapperConfig{XorBank: true}
-	cfg.FTL.HammersPerIO = 1
+	cfg.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+	cfg.Device.Amplify = 1
 	cfg.Obs = opt.Obs
 	tb, err := cloud.NewTestbed(cfg)
 	if err != nil {

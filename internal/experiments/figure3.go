@@ -24,7 +24,7 @@ import (
 func Figure3(w io.Writer, opt Options) error {
 	section(w, "Figure 3", "ext4 indirect-block exploit: unprivileged information leak")
 	cfg := quickTestbedConfig(0xF3)
-	cfg.FTL.HammersPerIO = 1
+	cfg.Device.Amplify = 1
 	maxCycles := 16
 	if !opt.Quick {
 		cfg = paperTestbedConfig(0xF3)

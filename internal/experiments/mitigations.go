@@ -43,34 +43,33 @@ func mitigationProbes() []mitigationProbe {
 	return []mitigationProbe{
 		{"none (baseline)", nil, double},
 		{"ECC (SEC-DED per 64-bit word)", func(c *cloud.Config) {
-			c.DRAM.ECC = true
+			c.Device.DRAM.ECC = true
 		}, double},
 		{"TRR (sampler=1)", func(c *cloud.Config) {
-			c.DRAM.TRR = dram.DefaultTRR()
+			c.Device.DRAM.TRR = dram.DefaultTRR()
 		}, double},
 		{"TRR vs synchronized decoys", func(c *cloud.Config) {
-			c.DRAM.TRR = dram.DefaultTRR()
+			c.Device.DRAM.TRR = dram.DefaultTRR()
 		}, decoys},
 		{"PARA p=0.02", func(c *cloud.Config) {
-			c.DRAM.PARA = 0.02
+			c.Device.DRAM.PARA = 0.02
 		}, double},
 		{"2x refresh rate (32 ms window)", func(c *cloud.Config) {
-			c.DRAM.RefreshWindow = 32 * sim.Millisecond
+			c.Device.DRAM.RefreshWindow = 32 * sim.Millisecond
 		}, double},
 		{"FTL CPU cache for L2P", func(c *cloud.Config) {
-			c.FTL.Cache.Enabled = true
-			c.FTL.Cache.Lines = 1024
+			c.Device.Cache.Enabled = true
+			c.Device.Cache.Lines = 1024
 		}, double},
 		{"FTL cache vs eviction-aware reads", func(c *cloud.Config) {
-			c.FTL.Cache.Enabled = true
-			c.FTL.Cache.Lines = 1024
+			c.Device.Cache.Enabled = true
+			c.Device.Cache.Lines = 1024
 		}, evict},
 		{"I/O rate limit (100K IOPS/ns)", func(c *cloud.Config) {
-			c.AttackerMaxIOPS = 100_000
-			c.VictimMaxIOPS = 100_000
+			c.Device.MaxIOPS = 100_000
 		}, double},
 		{"hammer guard (ours: detect+throttle)", func(c *cloud.Config) {
-			c.Guard = &gcfg
+			c.Device.Guard = &gcfg
 		}, double},
 	}
 }
@@ -135,8 +134,8 @@ func Mitigations5(w io.Writer, opt Options) error {
 // hashedTestbedConfig is the quick testbed with the §5 keyed hashed L2P.
 func hashedTestbedConfig() cloud.Config {
 	cfg := quickTestbedConfig(0x55)
-	cfg.FTL.Hashed = true
-	cfg.FTL.HashKey = 0xC0FFEE
+	cfg.Device.Hashed = true
+	cfg.Device.HashKey = 0xC0FFEE
 	return cfg
 }
 
@@ -144,9 +143,9 @@ func hashedTestbedConfig() cloud.Config {
 // single-tenant mapping, with the probe's mutation applied.
 func mitigationConfig(p mitigationProbe) cloud.Config {
 	cfg := quickTestbedConfig(0x50)
-	cfg.FTL.HammersPerIO = 1
+	cfg.Device.Amplify = 1
 	// Single-tenant mapping so the probe can observe its own victim rows.
-	cfg.DRAM.Mapping = dram.MapperConfig{XorBank: true}
+	cfg.Device.DRAM.Mapping = dram.MapperConfig{XorBank: true}
 	if p.mutate != nil {
 		p.mutate(&cfg)
 	}

@@ -30,7 +30,7 @@ func TimeToLeak42(w io.Writer, opt Options) error {
 	rows, err := runTrialsObs(opt, len(fractions), func(i int, reg *obs.Registry) (ttlRow, error) {
 		frac := fractions[i]
 		cfg := quickTestbedConfig(0x42)
-		cfg.FTL.HammersPerIO = 1
+		cfg.Device.Amplify = 1
 		cfg.Obs = reg
 		tb, err := cloud.NewTestbed(cfg)
 		if err != nil {

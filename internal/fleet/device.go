@@ -13,15 +13,16 @@ import (
 	"ftlhammer/internal/sim"
 )
 
-// DeviceSpec describes one simulated device: the knobs cmd/hammerd has
-// always exposed, factored out so the single-device daemon, the fleet
-// layer and the blast-radius experiment all assemble devices through one
-// builder. Two devices built from equal specs and equal seeds have equal
-// nvme config digests — the precondition for migrating a checkpoint
-// between them.
+// DeviceSpec describes one simulated device. It is the one device
+// builder: cmd/hammerd, cmd/ftlreplay, the fleet layer, the §4.1 cloud
+// testbed (cloud.Config.Device), the experiments and the perf fixtures
+// all assemble devices through it. Two devices built from equal specs
+// and equal seeds have equal nvme config digests — the precondition for
+// migrating a checkpoint between them.
 type DeviceSpec struct {
-	// Profile selects the DRAM fault model: "testbed", "weak" or
-	// "invulnerable" (see internal/dram). Ignored when DRAM is set.
+	// Profile names the DRAM fault model and the default flash size:
+	// "testbed", "weak" or "invulnerable" (see ProfileConfig). DRAM and
+	// Flash override what it selects.
 	Profile string
 	// Tenants is how many equal namespaces are carved from the device.
 	Tenants int
@@ -43,11 +44,18 @@ type DeviceSpec struct {
 	// MaxIOPS, when non-zero, statically rate-limits every namespace.
 	MaxIOPS float64
 	// DRAM, when non-nil, overrides the profile-derived DRAM config
-	// entirely (experiment-grade control; the Seed field is still
-	// stamped by Build).
+	// entirely and is used as given; only the Seed field is stamped by
+	// Build. That includes Timing: a zero Timing means no tRC/tFAW
+	// command-rate limit, not the default timing.
 	DRAM *dram.Config
 	// Flash, when non-nil, overrides the profile-derived NAND geometry.
 	Flash *nand.Geometry
+	// Cache, Hashed and HashKey configure the FTL's L2P table (see
+	// ftl.Config): an entry cache and the keyed hashed layout, both §5
+	// mitigations.
+	Cache   ftl.CacheConfig
+	Hashed  bool
+	HashKey uint64
 	// Guard, when non-nil, attaches the firmware-side Bloom-filter
 	// hammer guard (internal/guard) with this configuration.
 	Guard *guard.Config
@@ -74,14 +82,45 @@ func (sp DeviceSpec) Validate() error {
 	if sp.FaultRate < 0 || sp.FaultRate > 1 || sp.ConnFaultRate < 0 || sp.ConnFaultRate > 1 {
 		return fmt.Errorf("fleet: fault rates must be in [0,1]")
 	}
-	if sp.DRAM == nil {
-		switch sp.Profile {
-		case "testbed", "weak", "invulnerable":
-		default:
-			return fmt.Errorf("fleet: unknown profile %q", sp.Profile)
-		}
+	_, _, err := ProfileConfig(sp.Profile)
+	return err
+}
+
+// ProfileConfig returns the DRAM config and flash geometry of a named
+// device profile, with the Seed field left zero. Every profile uses the
+// SSD DRAM geometry, default timing and the reverse-engineered mapping
+// (bank XOR + row interleave). "testbed" is the paper's §4.1 device:
+// vulnerable testbed DRAM on 1 GiB of flash. "weak" (a scaled DDR that
+// flips after 24k disturbances) and "invulnerable" sit on 512 MiB.
+func ProfileConfig(name string) (dram.Config, nand.Geometry, error) {
+	dcfg := dram.Config{
+		Geometry: dram.SSDGeometry(),
+		Timing:   dram.DefaultTiming(),
+		Mapping: dram.MapperConfig{
+			Twist:      dram.TwistInterleave,
+			TwistGroup: 8,
+			XorBank:    true,
+		},
 	}
-	return nil
+	geom := nand.HalfGeometry()
+	switch name {
+	case "testbed":
+		dcfg.Profile = dram.TestbedProfile()
+		dcfg.Mapping.TwistGroup = 16
+		geom = nand.DefaultGeometry()
+	case "weak":
+		dcfg.Profile = dram.Profile{
+			Name:            "weak DDR (scaled)",
+			HCfirst:         24000,
+			ThresholdSigma:  0.1,
+			WeakCellsPerRow: 2.0,
+		}
+	case "invulnerable":
+		dcfg.Profile = dram.InvulnerableProfile()
+	default:
+		return dram.Config{}, nand.Geometry{}, fmt.Errorf("fleet: unknown profile %q", name)
+	}
+	return dcfg, geom, nil
 }
 
 // BuiltDevice is one assembled device with the parts its owner needs to
@@ -104,37 +143,9 @@ func (sp DeviceSpec) Build(seed uint64, reg *obs.Registry) (*BuiltDevice, error)
 		return nil, err
 	}
 
-	dcfg := dram.Config{
-		Geometry: dram.SSDGeometry(),
-		Timing:   dram.DefaultTiming(),
-		Mapping: dram.MapperConfig{
-			Twist:      dram.TwistInterleave,
-			TwistGroup: 8,
-			XorBank:    true,
-		},
-	}
-	geom := nand.Geometry{
-		Channels:      4,
-		DiesPerChan:   2,
-		PlanesPerDie:  2,
-		BlocksPerPlan: 32,
-		PagesPerBlock: 256,
-		PageBytes:     4096,
-	}
-	switch sp.Profile {
-	case "testbed":
-		dcfg.Profile = dram.TestbedProfile()
-		dcfg.Mapping.TwistGroup = 16
-		geom = nand.DefaultGeometry()
-	case "weak":
-		dcfg.Profile = dram.Profile{
-			Name:            "weak DDR (scaled)",
-			HCfirst:         24000,
-			ThresholdSigma:  0.1,
-			WeakCellsPerRow: 2.0,
-		}
-	case "invulnerable":
-		dcfg.Profile = dram.InvulnerableProfile()
+	dcfg, geom, err := ProfileConfig(sp.Profile)
+	if err != nil {
+		return nil, err
 	}
 	if sp.DRAM != nil {
 		dcfg = *sp.DRAM
@@ -160,6 +171,9 @@ func (sp DeviceSpec) Build(seed uint64, reg *obs.Registry) (*BuiltDevice, error)
 	fcfg := ftl.Config{
 		NumLBAs:      geom.TotalPages() * 15 / 16,
 		HammersPerIO: sp.Amplify,
+		Cache:        sp.Cache,
+		Hashed:       sp.Hashed,
+		HashKey:      sp.HashKey,
 	}
 	f, err := ftl.New(fcfg, mem, flash)
 	if err != nil {

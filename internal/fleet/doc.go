@@ -17,6 +17,10 @@
 // refusing state before the drain begins, so a session is refused or
 // re-routed during a transfer, never silently misrouted.
 //
+// DeviceSpec is the repository's one device builder: besides fleet
+// members it assembles hammerd's and ftlreplay's device, the cloud
+// testbed's shared SSD, the experiments' devices and the perf fixtures.
+//
 // See docs/FLEET.md for the topology, the migration protocol and its
 // failure modes.
 package fleet

@@ -71,7 +71,7 @@ type Config struct {
 	// HashKey is the device-specific randomization key for Hashed mode.
 	HashKey uint64
 	// GCFreeBlocksLow triggers garbage collection when the free-block
-	// pool drops to this size (default 2).
+	// pool drops to this size (default 8).
 	GCFreeBlocksLow int
 }
 

@@ -51,6 +51,15 @@ func DefaultGeometry() Geometry {
 	}
 }
 
+// HalfGeometry returns a 512 MiB array, DefaultGeometry with half the
+// blocks per plane: the scaled SSD of the quick-mode experiments and
+// the weak/invulnerable device profiles.
+func HalfGeometry() Geometry {
+	g := DefaultGeometry()
+	g.BlocksPerPlan = 32
+	return g
+}
+
 // TinyGeometry returns a 4 MiB array (2 channels x 1 die x 1 plane x
 // 8 blocks x 64 pages x 4 KiB) sized for fast unit tests.
 func TinyGeometry() Geometry {

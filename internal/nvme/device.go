@@ -189,6 +189,9 @@ func (d *Device) FTL() *ftl.FTL { return d.ftl }
 // DRAM exposes the device DRAM (white-box view for analysis/tests).
 func (d *Device) DRAM() *dram.Module { return d.mem }
 
+// Flash exposes the NAND array (white-box view for analysis/tests).
+func (d *Device) Flash() *nand.Array { return d.flash }
+
 // BlockBytes returns the logical block size.
 func (d *Device) BlockBytes() int { return d.ftl.BlockBytes() }
 

@@ -18,27 +18,27 @@ import (
 )
 
 // NewDevice builds the standard benchmark device: SmallGeometry DRAM,
-// TinyGeometry flash, one namespace spanning the whole FTL, no faults.
-// It panics on configuration errors — the harness has no *testing.T and
-// a broken fixture is a bug, not a measurement.
-func NewDevice(seed uint64, rob nvme.Robust) (*nvme.Device, *nvme.Namespace) {
-	world := sim.NewWorld(seed)
-	mem := dram.New(dram.Config{
-		Geometry: dram.SmallGeometry(),
-		Profile:  dram.InvulnerableProfile(),
-		Seed:     seed,
-	}, world)
-	flash := nand.New(nand.TinyGeometry(), nand.DefaultLatency())
-	f, err := ftl.New(ftl.Config{NumLBAs: flash.Geometry().TotalPages() * 3 / 4}, mem, flash)
+// TinyGeometry flash, one namespace spanning the whole FTL, no faults;
+// robust arms the NVMe retry/timeout/degradation policy. It panics on
+// configuration errors — the harness has no *testing.T and a broken
+// fixture is a bug, not a measurement.
+func NewDevice(seed uint64, robust bool) (*nvme.Device, *nvme.Namespace) {
+	flash := nand.TinyGeometry()
+	bd, err := fleet.DeviceSpec{
+		Tenants: 1,
+		Amplify: 1,
+		DRAM: &dram.Config{
+			Geometry: dram.SmallGeometry(),
+			Profile:  dram.InvulnerableProfile(),
+		},
+		Flash:  &flash,
+		Robust: robust,
+	}.Build(seed, nil)
 	if err != nil {
-		panic(fmt.Sprintf("perf: ftl.New: %v", err))
+		panic(fmt.Sprintf("perf: device: %v", err))
 	}
-	dev := nvme.New(nvme.Config{Robust: rob}, f, mem, flash, world)
-	ns, err := dev.AddNamespace(f.NumLBAs(), 0)
-	if err != nil {
-		panic(fmt.Sprintf("perf: AddNamespace: %v", err))
-	}
-	return dev, ns
+	ns, _ := bd.Device.NamespaceByID(1)
+	return bd.Device, ns
 }
 
 // warmDevice maps a spread of LBAs so reads hit the flash path and the
@@ -58,7 +58,7 @@ func warmDevice(dev *nvme.Device, ns *nvme.Namespace, lbas int) []byte {
 // BenchDoContextRead measures a mapped in-process read through
 // Device.Do — the tightest loop in the simulator.
 func BenchDoContextRead(b *testing.B) {
-	dev, ns := NewDevice(1, nvme.Robust{})
+	dev, ns := NewDevice(1, false)
 	buf := warmDevice(dev, ns, 64)
 	cmd := nvme.Command{Op: nvme.OpRead, NS: ns, LBA: 7, Buf: buf}
 	b.ReportAllocs()
@@ -74,7 +74,7 @@ func BenchDoContextRead(b *testing.B) {
 // the FTL allocation path and, at steady state, garbage collection and
 // the flash array's recycled page buffers.
 func BenchDoContextWrite(b *testing.B) {
-	dev, ns := NewDevice(2, nvme.Robust{})
+	dev, ns := NewDevice(2, false)
 	buf := warmDevice(dev, ns, 64)
 	cmd := nvme.Command{Op: nvme.OpWrite, NS: ns, LBA: 7, Buf: buf}
 	b.ReportAllocs()
@@ -90,7 +90,7 @@ func BenchDoContextWrite(b *testing.B) {
 // armed, no faults firing. The delta against BenchDoContextRead is the
 // pure cost of the robustness layer.
 func BenchRobustRead(b *testing.B) {
-	dev, ns := NewDevice(3, nvme.DefaultRobust())
+	dev, ns := NewDevice(3, true)
 	buf := warmDevice(dev, ns, 64)
 	cmd := nvme.Command{Op: nvme.OpRead, NS: ns, LBA: 7, Buf: buf}
 	b.ReportAllocs()
@@ -106,7 +106,7 @@ func BenchRobustRead(b *testing.B) {
 // engine-shard inner loop.
 func BenchDoBatch(b *testing.B) {
 	const batch = 16
-	dev, ns := NewDevice(4, nvme.Robust{})
+	dev, ns := NewDevice(4, false)
 	buf := warmDevice(dev, ns, 64)
 	cmds := make([]nvme.Command, batch)
 	for i := range cmds {
@@ -229,7 +229,7 @@ func BenchDRAMAmplify(b *testing.B) {
 // per command.
 func BenchServerBatch(b *testing.B) {
 	const window = 16
-	dev, _ := NewDevice(6, nvme.Robust{})
+	dev, _ := NewDevice(6, false)
 	srv := transport.NewServer(dev, transport.Config{Window: window})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -301,7 +301,7 @@ func AggregateIOPS(workers, opsPerWorker int) float64 {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
-			dev, ns := NewDevice(seed, nvme.Robust{})
+			dev, ns := NewDevice(seed, false)
 			buf := warmDevice(dev, ns, 64)
 			n := ns.NumLBAs
 			for i := 0; i < opsPerWorker; i++ {
