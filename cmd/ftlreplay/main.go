@@ -6,8 +6,9 @@
 // The device-building flags (-profile, -seed, -tenants, -amplify,
 // -fault-rate, -robust) fill the same fleet.DeviceSpec that cmd/hammerd
 // builds, so a trace recorded by `hammerd -record` replays here against
-// an identically configured device. Alternatively -restore starts the replay from a binary
-// snapshot taken with -save or nvme.Device.Checkpoint.
+// an identically configured device. Alternatively -restore starts the
+// replay from a binary snapshot taken with -save or
+// nvme.Device.Checkpoint.
 //
 // Modes:
 //
